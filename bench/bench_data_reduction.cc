@@ -1,6 +1,6 @@
-// Sec III-B ablation (design-choice callout in DESIGN.md): data reduction
-// ratio as a function of the merge threshold. The paper experimented with
-// several thresholds and chose 1 second.
+// Ablation of the paper's Sec III-B data reduction: reduction ratio as a
+// function of the merge threshold. The paper experimented with several
+// thresholds and chose 1 second.
 #include <cstdio>
 
 #include "audit/parser.h"

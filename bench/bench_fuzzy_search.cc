@@ -5,8 +5,7 @@
 // A second section measures the graph-backend primitive fuzzy alignment
 // leans on — variable-length path expansion — on a synthetic large
 // provenance graph (BENCH_LARGE_NODES / BENCH_LARGE_EDGES, default
-// 100k/500k), comparing the per-type adjacency groups against the legacy
-// full-edge-list scan.
+// 100k/500k), typed so the per-type adjacency groups prune every hop.
 #include <algorithm>
 #include <cstdio>
 
@@ -57,45 +56,29 @@ void RunLargeGraphVarlenWorkload(bench::BenchReport* report) {
                       "] RETURN DISTINCT f.name";
 
   int rounds = bench::Rounds(5);
-  auto measure = [&](bool typed) {
-    db.options().typed_adjacency = typed;
-    db.options().hashed_in_lists = typed;
-    std::vector<double> times;
-    size_t rows = 0, edges_traversed = 0;
-    Stopwatch timer;
-    for (int i = 0; i < rounds; ++i) {
-      graphdb::MatchStats stats;
-      timer.Restart();
-      auto rs = db.Query(query, &stats);
-      times.push_back(timer.ElapsedSeconds());
-      if (!rs.ok()) {
-        std::fprintf(stderr, "query failed: %s\n",
-                     rs.status().ToString().c_str());
-        std::exit(1);
-      }
-      rows = rs.value().rows.size();
-      edges_traversed = stats.edges_traversed;
+  std::vector<double> times;
+  size_t rows = 0, edges_traversed = 0;
+  Stopwatch timer;
+  for (int i = 0; i < rounds; ++i) {
+    graphdb::MatchStats stats;
+    timer.Restart();
+    auto rs = db.Query(query, &stats);
+    times.push_back(timer.ElapsedSeconds());
+    if (!rs.ok()) {
+      std::fprintf(stderr, "query failed: %s\n",
+                   rs.status().ToString().c_str());
+      std::exit(1);
     }
-    std::printf(
-        "  typed_adjacency=%d hashed_in_lists=%d: %s s (%zu rows, %zu edges "
-        "traversed)\n",
-        typed, typed, bench::MeanStd(times).c_str(), rows, edges_traversed);
-    return bench::Mean(times);
-  };
-
-  double fast = measure(/*typed=*/true);
-  double legacy = measure(/*typed=*/false);
-  db.options().typed_adjacency = true;
-  db.options().hashed_in_lists = true;
-  double speedup = fast > 0 ? legacy / fast : 0;
-  std::printf("  speedup (legacy / typed+hashed): %.1fx\n", speedup);
+    rows = rs.value().rows.size();
+    edges_traversed = stats.edges_traversed;
+  }
+  std::printf("  typed expansion: %s s (%zu rows, %zu edges traversed)\n",
+              bench::MeanStd(times).c_str(), rows, edges_traversed);
 
   report->Param("large_nodes", spec.nodes);
   report->Param("large_edges", spec.edges);
   report->Param("large_in_list", n_in_list);
-  report->Metric("varlen_expansion", "typed_seconds", fast);
-  report->Metric("varlen_expansion", "legacy_seconds", legacy);
-  report->Metric("varlen_expansion", "speedup", speedup);
+  report->Metric("varlen_expansion", "typed_seconds", bench::Mean(times));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Scheduler ablation (design-choice callout in DESIGN.md): TBQL execution
-// time with (a) full scheduling + constraint propagation, (b) textual
-// pattern order + propagation, (c) scheduling without propagation, and
-// (d) neither — isolating where the Sec III-F execution plan wins.
+// Scheduler ablation of the paper's Sec III-F execution plan (the
+// scheduling and propagation behind Table VIII's TBQL columns): TBQL
+// execution time with (a) full scheduling + constraint propagation,
+// (b) textual pattern order + propagation, (c) scheduling without
+// propagation, and (d) neither — isolating where the plan wins.
 #include <cstdio>
 
 #include "bench/bench_util.h"

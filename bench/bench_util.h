@@ -1,5 +1,6 @@
 // Shared helpers for the benchmark harnesses. Each bench binary regenerates
-// one of the paper's tables (see DESIGN.md experiment index) and emits a
+// one of the paper's tables or ablations (named in its file header; the
+// README's "Build, test, bench" section lists the knobs) and emits a
 // machine-readable BENCH_<name>.json via BenchReport, so CI can track the
 // perf trajectory across commits.
 #pragma once

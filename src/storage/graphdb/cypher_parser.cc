@@ -1,6 +1,7 @@
 #include "storage/graphdb/cypher_parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <unordered_set>
 
 #include "common/strings.h"
@@ -24,6 +25,22 @@ struct Token {
   std::string text;
   size_t pos = 0;
 };
+
+/// Checked conversion of a numeric token. std::from_chars reports an
+/// out-of-range literal (or an int bound that does not fit T) instead of
+/// throwing, so hostile query text yields a parse error, never an abort.
+template <class T>
+Result<T> ParseNumber(const Token& tok) {
+  T value{};
+  const char* end = tok.text.data() + tok.text.size();
+  auto [ptr, ec] = std::from_chars(tok.text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return Status::ParseError(
+        StrFormat("number out of range: '%s' (at offset %zu)",
+                  tok.text.c_str(), tok.pos));
+  }
+  return value;
+}
 
 const std::unordered_set<std::string>& Keywords() {
   static const std::unordered_set<std::string> kKeywords = {
@@ -171,7 +188,9 @@ class Parser {
     }
     if (AcceptKeyword("LIMIT")) {
       if (Peek().kind != Tok::kInt) return Err("expected LIMIT count");
-      query.limit = std::stoll(Next().text);
+      auto limit = ParseNumber<long long>(Next());
+      if (!limit.ok()) return limit.status();
+      query.limit = limit.value();
     }
     if (Peek().kind != Tok::kEnd) {
       return Err("trailing tokens: '" + Peek().text + "'");
@@ -221,12 +240,16 @@ class Parser {
   Result<Value> ParseLiteralValue() {
     const Token& tok = Peek();
     switch (tok.kind) {
-      case Tok::kInt:
-        Next();
-        return Value(static_cast<int64_t>(std::stoll(tok.text)));
-      case Tok::kFloat:
-        Next();
-        return Value(std::stod(tok.text));
+      case Tok::kInt: {
+        auto v = ParseNumber<int64_t>(Next());
+        if (!v.ok()) return v.status();
+        return Value(v.value());
+      }
+      case Tok::kFloat: {
+        auto v = ParseNumber<double>(Next());
+        if (!v.ok()) return v.status();
+        return Value(v.value());
+      }
       case Tok::kString:
         Next();
         return Value(tok.text);
@@ -288,13 +311,17 @@ class Parser {
       rel.min_len = 1;
       rel.max_len = -1;
       if (Peek().kind == Tok::kInt) {
-        rel.min_len = static_cast<int>(std::stoll(Next().text));
+        auto min_len = ParseNumber<int>(Next());
+        if (!min_len.ok()) return min_len.status();
+        rel.min_len = min_len.value();
         rel.max_len = rel.min_len;  // "*n" = exactly n unless ".." follows
       }
       if (AcceptSymbol("..")) {
         rel.max_len = -1;
         if (Peek().kind == Tok::kInt) {
-          rel.max_len = static_cast<int>(std::stoll(Next().text));
+          auto max_len = ParseNumber<int>(Next());
+          if (!max_len.ok()) return max_len.status();
+          rel.max_len = max_len.value();
         }
       }
     }

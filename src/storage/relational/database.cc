@@ -9,16 +9,13 @@ namespace {
 
 /// Cache key for a memoized execution: the query text plus every option
 /// that can change the result rows or their order (parallel merge order
-/// depends on morsel/shard geometry). Cancel, deadline, and the cache
-/// pointer itself are excluded — they never change a successful result.
+/// depends on morsel geometry and the serial/morsel choice). Cancel,
+/// deadline, and the cache pointer itself are excluded — they never change
+/// a successful result.
 std::string SubresultCacheKey(std::string_view sql, const SelectOptions& o) {
   std::string key(sql);
   key += '\x1f';
-  key += std::to_string(o.push_limit) + ',' +
-         std::to_string(o.streaming_distinct) + ',' +
-         std::to_string(o.columnar_scan) + ',' +
-         std::to_string(o.morsel_scheduling) + ',' +
-         std::to_string(o.morsel_size) + ',' +
+  key += std::to_string(o.morsel_size) + ',' +
          std::to_string(o.parallel_shards) + ',' +
          std::to_string(o.parallel_min_rows) + ',' +
          std::to_string(o.parallel_min_limit);

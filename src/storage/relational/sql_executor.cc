@@ -525,8 +525,8 @@ class TuplePipeline {
                 const Evaluator& eval, const std::vector<JoinLevel>& levels,
                 const std::vector<std::vector<RowId>>& candidates,
                 const std::vector<const Expr*>& projected, bool has_star,
-                bool streaming_distinct, bool partition_distinct,
-                size_t local_cap, ExecStats* stats, storage::WorkerRows* rs)
+                bool distinct, bool partition_distinct, size_t local_cap,
+                ExecStats* stats, storage::WorkerRows* rs)
       : stmt_(stmt),
         binder_(binder),
         eval_(eval),
@@ -534,7 +534,7 @@ class TuplePipeline {
         candidates_(candidates),
         projected_(projected),
         has_star_(has_star),
-        streaming_distinct_(streaming_distinct),
+        distinct_(distinct),
         partition_distinct_(partition_distinct),
         local_cap_(local_cap),
         stats_(stats),
@@ -545,29 +545,18 @@ class TuplePipeline {
     if (partition_distinct_) rs_->EnableDistinctPartitions();
   }
 
-  /// Restrict the first table's iteration to rows of one storage shard;
-  /// the parallel driver runs one pipeline per shard with disjoint scans.
-  void RestrictFirstTableToShard(size_t shard, size_t shard_count) {
+  /// Restrict the first table's iteration to one morsel: the half-open
+  /// positional range [lo, hi) of storage shard `shard` — the k-th row of
+  /// the shard's start/stride walk, or the k-th entry of its pre-split
+  /// seed/candidate sub-list (SetLazyFirstTable / SetFirstCandidates must
+  /// then hand this shard's list). The morsel scheduler runs one pipeline per
+  /// morsel.
+  void RestrictFirstTableToMorsel(size_t shard, size_t shard_count, size_t lo,
+                                  size_t hi) {
     shard_ = static_cast<int64_t>(shard);
     shard_count_ = shard_count;
-  }
-
-  /// Further restrict the (shard-restricted) first-table iteration to the
-  /// half-open positional range [lo, hi): the k-th row of the shard's
-  /// start/stride walk, or the k-th entry of its pre-split seed/candidate
-  /// sub-list. The morsel driver runs one pipeline per morsel; the
-  /// defaults cover the whole shard.
-  void RestrictFirstTableToMorsel(size_t lo, size_t hi) {
     morsel_lo_ = lo;
     morsel_hi_ = hi;
-  }
-
-  /// Columnar fast paths for the lazy first-table filters, parallel to the
-  /// SetLazyFirstTable filter list (entry i compiles filters[i]); filters
-  /// whose entry is not compiled for a row's shard Eval as before, in the
-  /// same position of the conjunct order.
-  void SetCompiledFirstFilters(const std::vector<ColumnPredicate>* compiled) {
-    compiled0_ = compiled;
   }
 
   /// Cooperative LIMIT cancellation shared by all parallel workers: every
@@ -587,26 +576,27 @@ class TuplePipeline {
     deadline_ = DeadlinePoller(deadline);
   }
 
-  /// The first table's iteration list was pre-split per shard at plan
-  /// time: iterate it in full instead of skip-scanning by shard mask.
-  void SetFirstTablePrepartitioned() { first_prepartitioned_ = true; }
-
-  /// Replace candidates[0] with this worker's per-shard sub-list (used
-  /// with SetFirstTablePrepartitioned on the non-lazy parallel path).
+  /// Replace candidates[0] with this morsel's per-shard sub-list (the
+  /// non-lazy parallel path).
   void SetFirstCandidates(const std::vector<RowId>* cand0) {
     first_candidates_ = cand0;
   }
 
   /// Defer the first table's filtering into the pipeline: scan `seed`
   /// (or all `row_count` rows when scan_all) lazily, applying `filters`
-  /// inline, so an early stop skips the tail of the base scan.
+  /// inline, so an early stop skips the tail of the base scan. `compiled`
+  /// holds the filters' columnar fast paths (entry i compiles filters[i]);
+  /// a filter whose entry is not compiled for a row's shard Evals in the
+  /// same position of the conjunct order.
   void SetLazyFirstTable(const std::vector<RowId>* seed, bool scan_all,
                          RowId row_count,
-                         const std::vector<const Expr*>* filters) {
+                         const std::vector<const Expr*>* filters,
+                         const std::vector<ColumnPredicate>* compiled) {
     lazy0_seed_ = seed;
     lazy0_scan_all_ = scan_all;
     lazy0_row_count_ = row_count;
     lazy0_filters_ = filters;
+    compiled0_ = compiled;
   }
 
   void Run() {
@@ -636,9 +626,8 @@ class TuplePipeline {
     if (a == 0 && (lazy0_seed_ != nullptr || lazy0_scan_all_)) {
       return ScanFirstTable(t);
     }
-    // Cross product with the filtered candidates (this worker's shard only
-    // when the scan is partitioned; a plan-time pre-split replaces the
-    // per-row shard mask with this worker's own sub-list).
+    // Cross product with the filtered candidates (a morsel walks its
+    // slice of the plan-time per-shard sub-list).
     if (a == 0 && first_candidates_ != nullptr) {
       size_t end = std::min(morsel_hi_, first_candidates_->size());
       for (size_t i = morsel_lo_; i < end; ++i) {
@@ -648,24 +637,10 @@ class TuplePipeline {
       return true;
     }
     for (RowId rid : candidates_[a]) {
-      if (a == 0) {
-        if (BudgetSpent()) return false;
-        if (SkipsShard(rid)) continue;
-      }
+      if (a == 0 && BudgetSpent()) return false;
       if (!BindAndDescend(a, rid, t)) return false;
     }
     return true;
-  }
-
-  /// True when the first table's iteration is partitioned and `rid`
-  /// belongs to a different worker's shard. The mask mirrors
-  /// storage::ShardLayout's documented round-robin low-bits assignment
-  /// (shard_count_ is the table's power-of-two shard count), as does the
-  /// start/stride walk in ScanFirstTable — a layout change must update
-  /// both alongside ShardLayout::ShardOf.
-  bool SkipsShard(RowId rid) const {
-    return shard_ >= 0 &&
-           (rid & (shard_count_ - 1)) != static_cast<size_t>(shard_);
   }
 
   /// True once the shared LIMIT budget has been drained by any worker, the
@@ -687,16 +662,12 @@ class TuplePipeline {
       if (stats_ != nullptr) ++stats_->base_rows_scanned;
       t[0] = rid;
       bool pass = true;
-      size_t sh = 0;
-      size_t pos = 0;
-      if (compiled0_ != nullptr) {
-        sh = table0->ShardOf(rid);
-        pos = table0->LocalOf(rid);
-      }
+      size_t sh = table0->ShardOf(rid);
+      size_t pos = table0->LocalOf(rid);
       for (size_t i = 0; i < lazy0_filters_->size(); ++i) {
         // Compiled column check where available for this row's shard;
         // same conjunct position, identical verdict to the Eval below.
-        if (compiled0_ != nullptr && (*compiled0_)[i].compiled(sh)) {
+        if ((*compiled0_)[i].compiled(sh)) {
           if (stats_ != nullptr) ++stats_->columnar_filter_rows;
           if (!(*compiled0_)[i].Matches(sh, pos)) {
             pass = false;
@@ -722,8 +693,10 @@ class TuplePipeline {
     if (lazy0_scan_all_) {
       if (shard_ >= 0) {
         // k-indexed walk of this shard's rows (rid = shard + k * stride,
-        // mirroring ShardLayout's round-robin low-bits assignment), so a
-        // morsel range restricts by position within the shard.
+        // mirroring storage::ShardLayout's documented round-robin low-bits
+        // assignment — a layout change must update this alongside
+        // ShardLayout::ShardOf), so a morsel range restricts by position
+        // within the shard.
         for (size_t k = morsel_lo_; k < morsel_hi_ && keep_going; ++k) {
           RowId rid = static_cast<RowId>(shard_) + k * shard_count_;
           if (rid >= lazy0_row_count_) break;
@@ -734,16 +707,12 @@ class TuplePipeline {
           keep_going = visit(rid);
         }
       }
-    } else if (first_prepartitioned_) {
+    } else {
+      // The whole seed list (serial), or a morsel's slice of its shard's
+      // pre-split sub-list.
       size_t end = std::min(morsel_hi_, lazy0_seed_->size());
       for (size_t i = morsel_lo_; i < end; ++i) {
         keep_going = visit((*lazy0_seed_)[i]);
-        if (!keep_going) break;
-      }
-    } else {
-      for (RowId rid : *lazy0_seed_) {
-        if (SkipsShard(rid)) continue;
-        keep_going = visit(rid);
         if (!keep_going) break;
       }
     }
@@ -788,7 +757,7 @@ class TuplePipeline {
       }
       row.push_back(std::move(v).value());
     }
-    if (streaming_distinct_ && !seen_.insert(row).second) return true;
+    if (distinct_ && !seen_.insert(row).second) return true;
     if (shared_claimed_ != nullptr &&
         shared_claimed_->fetch_add(1, std::memory_order_relaxed) >=
             shared_cap_) {
@@ -812,11 +781,11 @@ class TuplePipeline {
   const std::vector<std::vector<RowId>>& candidates_;
   const std::vector<const Expr*>& projected_;
   bool has_star_;
-  bool streaming_distinct_;
+  bool distinct_;
   bool partition_distinct_;
   size_t local_cap_;
   size_t emitted_ = 0;     // rows this pipeline kept (vs. local_cap_)
-  int64_t shard_ = -1;     // -1: iterate every shard (serial pipeline)
+  int64_t shard_ = -1;     // morsel shard; -1: whole table (serial)
   size_t shard_count_ = 1;
   size_t morsel_lo_ = 0;   // positional first-table range [lo, hi)
   size_t morsel_hi_ = static_cast<size_t>(-1);
@@ -824,7 +793,6 @@ class TuplePipeline {
   size_t shared_cap_ = 0;
   const std::atomic<bool>* cancel_ = nullptr;
   DeadlinePoller deadline_;
-  bool first_prepartitioned_ = false;
   const std::vector<RowId>* first_candidates_ = nullptr;
   const std::vector<ColumnPredicate>* compiled0_ = nullptr;
   ExecStats* stats_;
@@ -900,13 +868,9 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
 
   size_t n_aliases = aliases.size();
 
-  // Effective streaming toggles for this statement: a LIMIT on a DISTINCT
-  // query counts post-dedup rows, so it only pushes down when the dedup is
-  // streaming; ORDER BY must see every row, so it disables the pushdown.
-  bool streaming_distinct = stmt.distinct && options.streaming_distinct;
-  bool push_limit = options.push_limit && stmt.limit >= 0 &&
-                    stmt.order_by.empty() &&
-                    (!stmt.distinct || streaming_distinct);
+  // LIMIT stops the pipeline early (it counts post-DISTINCT rows, since
+  // the dedup streams); ORDER BY must see every row, so it disables that.
+  bool early_limit = stmt.limit >= 0 && stmt.order_by.empty();
 
   // --- Base-table filtering -------------------------------------------------
   // For each alias, gather its single-table conjuncts; try index probes for
@@ -927,13 +891,11 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
   // once per query; entries stay parallel to filters[a] so a predicate a
   // shard cannot serve falls back to Eval in the same conjunct position.
   std::vector<std::vector<ColumnPredicate>> compiled(n_aliases);
-  if (options.columnar_scan) {
-    for (size_t a = 0; a < n_aliases; ++a) {
-      compiled[a].reserve(filters[a].size());
-      for (const Expr* f : filters[a]) {
-        compiled[a].push_back(
-            ColumnPredicate::Compile(*f, binder, static_cast<int>(a)));
-      }
+  for (size_t a = 0; a < n_aliases; ++a) {
+    compiled[a].reserve(filters[a].size());
+    for (const Expr* f : filters[a]) {
+      compiled[a].push_back(
+          ColumnPredicate::Compile(*f, binder, static_cast<int>(a)));
     }
   }
   std::vector<std::vector<RowId>> candidates(n_aliases);
@@ -1026,7 +988,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       seeded = true;
       stats->index_probe_rows += seed.size();
     }
-    if (a == 0 && push_limit) {
+    if (a == 0 && early_limit) {
       lazy0 = true;
       lazy0_scan_all = !seeded;
       lazy0_seed = std::move(seed);
@@ -1045,14 +1007,10 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       ++stats->base_rows_scanned;
       probe[a] = rid;
       bool pass = true;
-      size_t sh = 0;
-      size_t pos = 0;
-      if (!compiled[a].empty()) {
-        sh = table->ShardOf(rid);
-        pos = table->LocalOf(rid);
-      }
+      size_t sh = table->ShardOf(rid);
+      size_t pos = table->LocalOf(rid);
       for (size_t i = 0; i < filters[a].size(); ++i) {
-        if (!compiled[a].empty() && compiled[a][i].compiled(sh)) {
+        if (compiled[a][i].compiled(sh)) {
           ++stats->columnar_filter_rows;
           if (!compiled[a][i].Matches(sh, pos)) {
             pass = false;
@@ -1163,7 +1121,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
 
   // --- Streaming scan / join / emit pipeline --------------------------------
   size_t local_cap =
-      push_limit ? static_cast<size_t>(stmt.limit) : static_cast<size_t>(-1);
+      early_limit ? static_cast<size_t>(stmt.limit) : static_cast<size_t>(-1);
   // Fan the base scan (and with it the whole probe pipeline) out over the
   // first table's shards only when it can pay off: a sharded table, more
   // than one worker allowed, a scan large enough to amortize dispatch, and
@@ -1177,22 +1135,19 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
   bool parallel =
       options.parallel_shards > 1 && n_shards > 1 &&
       scan_size >= static_cast<size_t>(std::max(0, options.parallel_min_rows)) &&
-      !(push_limit &&
+      !(early_limit &&
         stmt.limit < static_cast<long long>(options.parallel_min_limit));
-  if (!(push_limit && stmt.limit == 0)) {
+  if (!(early_limit && stmt.limit == 0)) {
     if (!parallel) {
       storage::WorkerRows serial_rs;
       TuplePipeline pipeline(stmt, binder, eval, levels, candidates, projected,
-                             has_star, streaming_distinct,
+                             has_star, stmt.distinct,
                              /*partition_distinct=*/false, local_cap, stats,
                              &serial_rs);
       if (lazy0) {
         pipeline.SetLazyFirstTable(lazy0_scan_all ? nullptr : &lazy0_seed,
                                    lazy0_scan_all, tables[0]->row_count(),
-                                   &filters[0]);
-        if (!compiled[0].empty()) {
-          pipeline.SetCompiledFirstFilters(&compiled[0]);
-        }
+                                   &filters[0], &compiled[0]);
       }
       pipeline.SetCancelFlag(options.cancel);
       pipeline.SetDeadline(options.deadline);
@@ -1202,9 +1157,8 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
     } else {
       // Pre-split the shared first-table iteration lists (index seed or
       // filtered candidates) into per-shard sub-lists at plan time, so
-      // each worker walks its own list instead of skip-scanning the whole
-      // one per shard. Order within a shard is preserved, so the
-      // shard-order merge emits exactly the skip-scan rows.
+      // each morsel walks a slice of its shard's own list instead of
+      // skip-scanning the whole one. Order within a shard is preserved.
       std::vector<std::vector<RowId>> first_by_shard;
       const std::vector<RowId>* first_list =
           lazy0 ? (lazy0_scan_all ? nullptr : &lazy0_seed)
@@ -1215,161 +1169,107 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
           first_by_shard[rid & (n_shards - 1)].push_back(rid);
         }
       }
-      // LIMIT policy (shared atomic claims vs per-worker caps merged with
-      // a re-dedup): see storage/shard_parallel.h.
-      storage::ShardRowBudget budget(push_limit, streaming_distinct,
-                                     stmt.limit);
-      const std::vector<ColumnPredicate>* compiled0 =
-          lazy0 && !compiled[0].empty() ? &compiled[0] : nullptr;
-      // Wire one pipeline over one positional slice of one shard's
-      // first-table iteration space and run it to completion. Shared by
-      // both parallel schedulers; a whole shard is the slice
-      // [0, SIZE_MAX).
-      auto run_slice = [&](size_t shard, size_t lo, size_t hi, Evaluator& ev,
-                           ExecStats* slice_stats,
-                           storage::WorkerRows* rs) -> Status {
-        TuplePipeline pipeline(stmt, binder, ev, levels, candidates,
-                               projected, has_star, streaming_distinct,
-                               /*partition_distinct=*/streaming_distinct,
-                               budget.local_cap, slice_stats, rs);
-        if (lazy0) {
-          pipeline.SetLazyFirstTable(
-              lazy0_scan_all ? nullptr : &first_by_shard[shard],
-              lazy0_scan_all, tables[0]->row_count(), &filters[0]);
-          if (compiled0 != nullptr) {
-            pipeline.SetCompiledFirstFilters(compiled0);
-          }
-        } else if (first_list != nullptr) {
-          pipeline.SetFirstCandidates(&first_by_shard[shard]);
-        }
-        pipeline.RestrictFirstTableToShard(shard, n_shards);
-        if (first_list != nullptr) pipeline.SetFirstTablePrepartitioned();
-        pipeline.RestrictFirstTableToMorsel(lo, hi);
-        pipeline.SetCancelFlag(options.cancel);
-        pipeline.SetDeadline(options.deadline);
-        if (budget.shared) {
-          pipeline.SetSharedRowBudget(&budget.claimed, budget.shared_cap);
-        }
-        pipeline.Run();
-        return pipeline.error();
+      // LIMIT policy (shared atomic claims vs per-morsel caps merged with a
+      // re-dedup): see storage/shard_parallel.h.
+      storage::ShardRowBudget budget(stmt.distinct,
+                                     early_limit ? stmt.limit : -1);
+      // Morsels: fixed-size positional chunks of each shard's iteration
+      // space (the k-th row of the shard's start/stride walk, or the k-th
+      // entry of its pre-split list), ordered shard-major on per-worker
+      // work-stealing deques so a skewed shard's rows spread across the
+      // fleet. The merge walks morsels in carve order, so the result is
+      // identical for a fixed plan regardless of the steal schedule.
+      size_t morsel_size = static_cast<size_t>(std::max(1, options.morsel_size));
+      struct Morsel {
+        size_t shard;
+        size_t lo;
+        size_t hi;
       };
-      auto fold_stats = [&](const ExecStats& ws) {
-        stats->base_rows_scanned += ws.base_rows_scanned;
-        stats->index_probe_rows += ws.index_probe_rows;
-        stats->join_output_tuples += ws.join_output_tuples;
-        stats->rows_emitted += ws.rows_emitted;
-        stats->columnar_filter_rows += ws.columnar_filter_rows;
-        stats->morsels_executed += ws.morsels_executed;
-        stats->morsels_stolen += ws.morsels_stolen;
+      std::vector<Morsel> morsels;
+      RowId row_count = tables[0]->row_count();
+      for (size_t s = 0; s < n_shards; ++s) {
+        size_t count =
+            first_list != nullptr
+                ? first_by_shard[s].size()
+                : (row_count > s ? (row_count - 1 - s) / n_shards + 1 : 0);
+        for (size_t lo = 0; lo < count; lo += morsel_size) {
+          morsels.push_back({s, lo, std::min(lo + morsel_size, count)});
+        }
+      }
+      struct MorselRun {
+        storage::WorkerRows rs;
+        Status error = Status::OK();
       };
-      if (options.morsel_scheduling) {
-        // Morsel scheduler: carve each shard's iteration space into
-        // fixed-size positional chunks on per-worker work-stealing
-        // deques, so a skewed shard's rows spread across the fleet.
-        // Morsels are ordered shard-major, and the merge walks them in
-        // that order — the result is byte-identical for a fixed plan
-        // regardless of the steal schedule.
-        size_t morsel_size =
-            static_cast<size_t>(std::max(1, options.morsel_size));
-        struct Morsel {
-          size_t shard;
-          size_t lo;
-          size_t hi;
-        };
-        std::vector<Morsel> morsels;
-        RowId row_count = tables[0]->row_count();
-        for (size_t s = 0; s < n_shards; ++s) {
-          size_t count =
-              first_list != nullptr
-                  ? first_by_shard[s].size()
-                  : (row_count > s ? (row_count - 1 - s) / n_shards + 1 : 0);
-          for (size_t lo = 0; lo < count; lo += morsel_size) {
-            morsels.push_back({s, lo, std::min(lo + morsel_size, count)});
-          }
-        }
-        struct MorselRun {
-          storage::WorkerRows rs;
-          Status error = Status::OK();
-        };
-        std::vector<MorselRun> runs(morsels.size());
-        if (!morsels.empty()) {
-          size_t workers = std::min<size_t>(
-              static_cast<size_t>(options.parallel_shards), morsels.size());
-          WorkStealingQueues queues(morsels.size(), workers);
-          std::vector<ExecStats> worker_stats(workers);
-          ThreadPool::Shared().ParallelFor(workers, workers, [&](size_t w) {
-            auto scan_start = obs::TraceSpan::Clock::now();
-            // Evaluator IN-list caches are mutable, so every worker owns
-            // one (shared across its morsels).
-            Evaluator worker_eval(binder);
-            ExecStats* ws = &worker_stats[w];
-            bool stolen = false;
-            for (size_t m = queues.Next(w, &stolen);
-                 m != WorkStealingQueues::kDone; m = queues.Next(w, &stolen)) {
-              ++ws->morsels_executed;
-              if (stolen) ++ws->morsels_stolen;
-              const Morsel& mo = morsels[m];
-              runs[m].error =
-                  run_slice(mo.shard, mo.lo, mo.hi, worker_eval, ws,
-                            &runs[m].rs);
-              if (!runs[m].error.ok()) break;
-            }
-            if (options.trace != nullptr) {
-              obs::TraceSpan* span = options.trace->AddChild(
-                  "morsel_worker[" + std::to_string(w) + "]");
-              span->SetWindow(scan_start, obs::TraceSpan::Clock::now());
-              span->Set("base_rows_scanned",
-                        static_cast<int64_t>(ws->base_rows_scanned));
-              span->Set("index_probe_rows",
-                        static_cast<int64_t>(ws->index_probe_rows));
-              span->Set("rows_emitted", static_cast<int64_t>(ws->rows_emitted));
-              span->Set("columnar_filter_rows",
-                        static_cast<int64_t>(ws->columnar_filter_rows));
-              span->Set("morsels_executed",
-                        static_cast<int64_t>(ws->morsels_executed));
-              span->Set("morsels_stolen",
-                        static_cast<int64_t>(ws->morsels_stolen));
-            }
-          });
-          for (const ExecStats& ws : worker_stats) fold_stats(ws);
-        }
-        RAPTOR_RETURN_NOT_OK(storage::MergeShardRuns(
-            runs, streaming_distinct, &result.rows, [](MorselRun&) {}));
-      } else {
-        // Legacy scheduler: one worker per storage shard, no stealing.
-        struct ShardRun {
-          storage::WorkerRows rs;
-          ExecStats stats;
-          Status error = Status::OK();
-        };
-        std::vector<ShardRun> runs(n_shards);
+      std::vector<MorselRun> runs(morsels.size());
+      if (!morsels.empty()) {
         size_t workers = std::min<size_t>(
-            static_cast<size_t>(options.parallel_shards), n_shards);
-        ThreadPool::Shared().ParallelFor(n_shards, workers, [&](size_t s) {
+            static_cast<size_t>(options.parallel_shards), morsels.size());
+        WorkStealingQueues queues(morsels.size(), workers);
+        std::vector<ExecStats> worker_stats(workers);
+        ThreadPool::Shared().ParallelFor(workers, workers, [&](size_t w) {
           auto scan_start = obs::TraceSpan::Clock::now();
-          ShardRun& run = runs[s];
-          // Evaluator IN-list caches are mutable, so every worker owns one.
-          Evaluator shard_eval(binder);
-          run.error = run_slice(s, 0, static_cast<size_t>(-1), shard_eval,
-                                &run.stats, &run.rs);
+          // Evaluator IN-list caches are mutable, so every worker owns one
+          // (shared across its morsels).
+          Evaluator worker_eval(binder);
+          ExecStats* ws = &worker_stats[w];
+          bool stolen = false;
+          for (size_t m = queues.Next(w, &stolen);
+               m != WorkStealingQueues::kDone; m = queues.Next(w, &stolen)) {
+            ++ws->morsels_executed;
+            if (stolen) ++ws->morsels_stolen;
+            const Morsel& mo = morsels[m];
+            TuplePipeline pipeline(stmt, binder, worker_eval, levels,
+                                   candidates, projected, has_star,
+                                   stmt.distinct,
+                                   /*partition_distinct=*/stmt.distinct,
+                                   budget.local_cap, ws, &runs[m].rs);
+            if (lazy0) {
+              pipeline.SetLazyFirstTable(
+                  lazy0_scan_all ? nullptr : &first_by_shard[mo.shard],
+                  lazy0_scan_all, row_count, &filters[0], &compiled[0]);
+            } else if (first_list != nullptr) {
+              pipeline.SetFirstCandidates(&first_by_shard[mo.shard]);
+            }
+            pipeline.RestrictFirstTableToMorsel(mo.shard, n_shards, mo.lo,
+                                                mo.hi);
+            pipeline.SetCancelFlag(options.cancel);
+            pipeline.SetDeadline(options.deadline);
+            if (budget.shared) {
+              pipeline.SetSharedRowBudget(&budget.claimed, budget.shared_cap);
+            }
+            pipeline.Run();
+            runs[m].error = pipeline.error();
+            if (!runs[m].error.ok()) break;
+          }
           if (options.trace != nullptr) {
             obs::TraceSpan* span = options.trace->AddChild(
-                "shard[" + std::to_string(s) + "]");
+                "morsel_worker[" + std::to_string(w) + "]");
             span->SetWindow(scan_start, obs::TraceSpan::Clock::now());
             span->Set("base_rows_scanned",
-                      static_cast<int64_t>(run.stats.base_rows_scanned));
+                      static_cast<int64_t>(ws->base_rows_scanned));
             span->Set("index_probe_rows",
-                      static_cast<int64_t>(run.stats.index_probe_rows));
-            span->Set("rows_emitted",
-                      static_cast<int64_t>(run.stats.rows_emitted));
+                      static_cast<int64_t>(ws->index_probe_rows));
+            span->Set("rows_emitted", static_cast<int64_t>(ws->rows_emitted));
             span->Set("columnar_filter_rows",
-                      static_cast<int64_t>(run.stats.columnar_filter_rows));
+                      static_cast<int64_t>(ws->columnar_filter_rows));
+            span->Set("morsels_executed",
+                      static_cast<int64_t>(ws->morsels_executed));
+            span->Set("morsels_stolen",
+                      static_cast<int64_t>(ws->morsels_stolen));
           }
         });
-        RAPTOR_RETURN_NOT_OK(storage::MergeShardRuns(
-            runs, streaming_distinct, &result.rows,
-            [&](ShardRun& run) { fold_stats(run.stats); }));
+        for (const ExecStats& ws : worker_stats) {
+          stats->base_rows_scanned += ws.base_rows_scanned;
+          stats->index_probe_rows += ws.index_probe_rows;
+          stats->join_output_tuples += ws.join_output_tuples;
+          stats->rows_emitted += ws.rows_emitted;
+          stats->columnar_filter_rows += ws.columnar_filter_rows;
+          stats->morsels_executed += ws.morsels_executed;
+          stats->morsels_stolen += ws.morsels_stolen;
+        }
       }
+      RAPTOR_RETURN_NOT_OK(
+          storage::MergeShardRuns(runs, stmt.distinct, &result.rows));
     }
   }
   if (options.cancel != nullptr &&
@@ -1415,18 +1315,6 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
                        return false;
                      });
     result.rows.Adopt(std::move(rows));
-  }
-  if (stmt.distinct && !streaming_distinct) {
-    // Legacy final dedup pass on the value rows (streaming dedup already
-    // filtered duplicates during emission).
-    std::unordered_set<Row, ValueRowHash, ValueRowEq> seen;
-    std::vector<Row> rows = result.rows.Flatten();
-    std::vector<Row> unique;
-    unique.reserve(rows.size());
-    for (Row& r : rows) {
-      if (seen.insert(r).second) unique.push_back(std::move(r));
-    }
-    result.rows.Adopt(std::move(unique));
   }
   if (stmt.limit >= 0 &&
       result.rows.row_count() > static_cast<size_t>(stmt.limit)) {

@@ -1,48 +1,43 @@
-// Planner + executor for the SQL subset.
+// Planner + executor for the SQL subset. Every operator has one
+// implementation; the only run-time choice is serial vs morsel-parallel.
 //
 // The plan is intentionally PostgreSQL-like in miniature:
 //  * WHERE/ON conjuncts are classified into single-table pushdown filters,
 //    equi-join predicates, and residual (cross-pattern) predicates;
-//  * base tables are filtered first, using hash indexes for equality and
-//    IN probes where available;
-//  * joins are left-deep in FROM order, hash joins on available equi-join
-//    keys, nested-loop otherwise — executed as a streaming pipeline that
-//    threads one tuple through the levels instead of materializing a tuple
-//    vector per join level;
-//  * residual predicates (e.g. temporal constraints between event aliases,
-//    which are non-equi) are applied as soon as their aliases are bound;
-//  * with LIMIT pushed down (SelectOptions::push_limit) the pipeline —
-//    including the first table's base scan — stops as soon as LIMIT rows
-//    have been emitted, and DISTINCT short-circuits through an incremental
-//    seen-set (SelectOptions::streaming_distinct) instead of a final dedup
-//    pass. ORDER BY forces full materialization, so it disables the LIMIT
-//    pushdown but not the streaming dedup;
-//  * hash-join build sides store per-key row ids as chunked candidate
-//    blocks in one arena per level instead of one heap vector per key,
-//    cutting allocation churn on large builds;
-//  * when the base table is sharded and its scan is large enough, the
-//    scan — and with it the whole downstream join/probe pipeline — fans
-//    out onto the shared thread pool (common/thread_pool.h). The default
-//    scheduler carves each shard's scan (or index seed list) into
-//    fixed-size morsels (SelectOptions::morsel_size) distributed over
-//    per-worker work-stealing deques, so a skewed shard's rows spread
-//    across the whole fleet; morsel_scheduling = false keeps the legacy
-//    one-worker-per-shard fan-out. Workers emit into thread-local result
-//    sets merged in morsel/shard order; a pushed-down LIMIT cancels
-//    cooperatively via an atomic row budget, and streaming DISTINCT
-//    emissions hash-partition per worker so the merge adopts whole
-//    compacted blocks (storage/shard_parallel.h). ORDER BY sorts after
-//    the merge, so rows comparing equal on every key may order
-//    differently than a serial run; key-unique sorts are unaffected;
+//  * base tables are filtered first, through the cheapest hash-index
+//    equality / IN probe where one exists (ranked by exact per-shard
+//    cardinality);
 //  * single-table filters of the shape `col op literal` / `col IN (...)`
 //    compile against the table's frozen columnar storage (table.h /
 //    storage/columnar.h): int comparisons read the SoA int vector
-//    directly and string equality compares dictionary ids as uint32s,
-//    skipping per-row Value variant dispatch. Filters that cannot be
-//    represented exactly (doubles, NULLs, mixed-type columns, complex
-//    expressions) stay on the row-path evaluator per predicate, and
-//    columnar_scan = false disables the fast path entirely for the
-//    differential harness.
+//    directly and string equality compares dictionary ids as uint32s.
+//    Filters a column cannot represent exactly (doubles, NULLs,
+//    mixed-type columns, complex expressions) evaluate row-wise, per
+//    predicate and per shard;
+//  * joins are left-deep in FROM order, hash joins on available equi-join
+//    keys, nested-loop otherwise — executed as a streaming pipeline that
+//    threads one tuple through the levels instead of materializing a tuple
+//    vector per join level; hash-join build sides store per-key row ids as
+//    chunked candidate blocks in one arena per level;
+//  * residual predicates (e.g. temporal constraints between event aliases,
+//    which are non-equi) are applied as soon as their aliases are bound;
+//  * DISTINCT dedups through an incremental seen-set during emission, and
+//    LIMIT stops the pipeline — including the first table's base scan —
+//    once LIMIT rows have been emitted. ORDER BY must see every row, so it
+//    sorts after the pipeline and only then applies LIMIT.
+//
+// Serial vs morsel: the base scan (and with it the whole downstream
+// join/probe pipeline) fans out only when the first table is sharded,
+// parallel_shards > 1, the scan holds at least parallel_min_rows rows, and
+// any early LIMIT is at least parallel_min_limit. The morsel scheduler carves
+// each shard's scan (or index seed list) into morsel_size chunks on
+// per-worker work-stealing deques (common/thread_pool.h), so a skewed
+// shard's rows spread across the whole fleet. Morsels emit into their own
+// result sets, merged in morsel order; a LIMIT cancels cooperatively via
+// an atomic row budget, and DISTINCT emissions hash-partition per morsel
+// so the merge adopts whole compacted blocks (storage/shard_parallel.h).
+// ORDER BY sorts after the merge, so rows comparing equal on every key may
+// order differently than a serial run; key-unique sorts are unaffected.
 //
 // This gives the honest behaviour Table VIII depends on: a giant SQL query
 // with many joins and non-equi temporal constraints pays for large
@@ -79,10 +74,10 @@ struct ResultSet {
   std::string ToString(size_t max_rows = 20) const;
 };
 
-/// Chunked result: rows live in per-worker blocks (one per storage shard
-/// after a parallel scan, one for a serial run). A non-DISTINCT parallel
-/// merge adopts each worker block wholesale (rows.pushed_rows() == 0 — the
-/// zero-copy merge); consumers stream through storage::RowCursor.
+/// Chunked result: rows live in per-morsel blocks after a parallel scan
+/// (one block for a serial run). The parallel merge adopts each morsel
+/// block wholesale (rows.pushed_rows() == 0 — the zero-copy merge);
+/// consumers stream through storage::RowCursor.
 /// ResultSet remains the materialized compatibility view (ExecuteSelect
 /// flattens one of these).
 struct BlockResultSet {
@@ -105,38 +100,17 @@ struct ExecStats {
   size_t morsels_stolen = 0;        // of those, taken from another worker
 };
 
-/// Streaming toggles; the all-false combination is the legacy
-/// materialize-then-truncate behavior, kept for benchmark baselines and
-/// differential tests.
 struct SelectOptions {
-  /// Stop the scan/join pipeline once LIMIT rows have been emitted
-  /// (DISTINCT queries only push when streaming_distinct is also on, since
-  /// the limit counts post-dedup rows; ORDER BY disables the pushdown).
-  bool push_limit = true;
-  /// Apply DISTINCT through an incremental seen-set during emission.
-  /// Off = legacy final dedup pass over the materialized result.
-  bool streaming_distinct = true;
-  /// Evaluate eligible single-table filters against the frozen columnar
-  /// storage (dictionary-encoded string equality, direct int reads). Off =
-  /// row-path Value evaluation for every filter, kept for the differential
-  /// harness. Results are identical either way; predicates a column cannot
-  /// represent exactly fall back to the row path individually.
-  bool columnar_scan = true;
-  /// Parallel scheduler: carve the base scan into morsel_size chunks on
-  /// per-worker work-stealing deques. Off = legacy one worker per storage
-  /// shard (no stealing, skew-sensitive).
-  bool morsel_scheduling = true;
   /// Rows per morsel. Small enough that a skewed shard yields many
   /// stealable units, large enough to amortize per-morsel pipeline setup.
   int morsel_size = 2048;
-  /// Maximum shard-parallel workers for the base scan / probe pipeline;
-  /// the effective worker count is min(parallel_shards, base table
-  /// shard_count()). 1 = always serial (the differential baseline).
+  /// Maximum morsel workers for the base scan / probe pipeline. 1 =
+  /// always serial.
   int parallel_shards = 4;
   /// Stay serial when the base-table scan (or its index seed list) is
   /// smaller than this: tiny scans lose more to dispatch than they gain.
   int parallel_min_rows = 256;
-  /// Stay serial when a pushed-down LIMIT is below this: the serial
+  /// Stay serial when a LIMIT is below this: the serial
   /// early-exit path finishes such queries in a handful of row visits.
   int parallel_min_limit = 8;
   /// Cooperative cancellation: when non-null and set, the base scan stops
@@ -154,11 +128,10 @@ struct SelectOptions {
   /// epoch. The owner (service::HuntService) clears it on every store
   /// mutation. Must outlive the call.
   storage::QueryResultCache<BlockResultSet>* result_cache = nullptr;
-  /// EXPLAIN ANALYZE hook: when non-null, the parallel drivers hang one
-  /// timed child span per shard run / morsel worker under it (scan, probe,
-  /// and steal counters included) and QueryBlocks records subresult cache
-  /// hits. Null (the default) costs one pointer test per query. Must
-  /// outlive the call.
+  /// EXPLAIN ANALYZE hook: when non-null, the morsel scheduler hangs one
+  /// timed child span per worker under it (scan, probe, and steal counters
+  /// included) and QueryBlocks records subresult cache hits. Null (the
+  /// default) costs one pointer test per query. Must outlive the call.
   obs::TraceSpan* trace = nullptr;
 };
 

@@ -1,6 +1,7 @@
 #include "storage/relational/sql_parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <unordered_set>
 
 #include "common/strings.h"
@@ -8,6 +9,22 @@
 namespace raptor::sql {
 
 namespace {
+
+/// Checked conversion of a numeric token. std::from_chars reports an
+/// out-of-range literal (or an int bound that does not fit T) instead of
+/// throwing, so hostile query text yields a parse error, never an abort.
+template <class T>
+Result<T> ParseNumber(const Token& tok) {
+  T value{};
+  const char* end = tok.text.data() + tok.text.size();
+  auto [ptr, ec] = std::from_chars(tok.text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return Status::ParseError(
+        StrFormat("number out of range: '%s' (at offset %zu)",
+                  tok.text.c_str(), tok.pos));
+  }
+  return value;
+}
 
 const std::unordered_set<std::string>& Keywords() {
   static const std::unordered_set<std::string> kKeywords = {
@@ -190,7 +207,9 @@ class Parser {
     }
     if (AcceptKeyword("LIMIT")) {
       if (Peek().kind != TokenKind::kInt) return Err("expected LIMIT count");
-      stmt.limit = std::stoll(Next().text);
+      auto limit = ParseNumber<long long>(Next());
+      if (!limit.ok()) return limit.status();
+      stmt.limit = limit.value();
     }
     if (Peek().kind != TokenKind::kEnd) {
       return Err("trailing tokens after statement: '" + Peek().text + "'");
@@ -363,12 +382,14 @@ class Parser {
     const Token& tok = Peek();
     switch (tok.kind) {
       case TokenKind::kInt: {
-        Next();
-        return Expr::MakeLiteral(Value(static_cast<int64_t>(std::stoll(tok.text))));
+        auto v = ParseNumber<int64_t>(Next());
+        if (!v.ok()) return v.status();
+        return Expr::MakeLiteral(Value(v.value()));
       }
       case TokenKind::kFloat: {
-        Next();
-        return Expr::MakeLiteral(Value(std::stod(tok.text)));
+        auto v = ParseNumber<double>(Next());
+        if (!v.ok()) return v.status();
+        return Expr::MakeLiteral(Value(v.value()));
       }
       case TokenKind::kString: {
         Next();

@@ -4,8 +4,8 @@
 // Sharding: rows and index storage partition into a power-of-two number of
 // entity-id-hashed shards (shard = row id & mask; row ids stay dense and
 // global, assigned in insert order). Each shard owns its rows and its slice
-// of every hash index, which lets the SQL executor partition base-table
-// scans and hash-join probe sides one worker per shard. The pre-sharding
+// of every hash index, which lets the SQL executor carve base-table scans
+// and hash-join probe sides into per-shard morsels. The pre-sharding
 // accessors that return whole-table references (rows(), Probe() without a
 // shard argument) remain valid as the single-shard (shard_count() == 1)
 // case; row(id) and the per-shard probes work for any shard count.

@@ -1,12 +1,10 @@
 // Chunked result-row storage and the streaming cursor over it.
 //
-// The shard-parallel query drivers produce one row vector per worker; the
-// old merge moved every row into a single flat result vector. RowBlocks
-// instead *adopts* each worker's vector wholesale as one block (a single
+// The morsel-parallel query executors produce one row vector per morsel;
+// RowBlocks *adopts* each vector wholesale as one block (a single
 // std::vector move — no per-row moves, no reallocation of a combined
 // vector), which is the ROADMAP "zero-copy merge" item. Rows that cannot
-// be adopted block-wise (streaming-DISTINCT merges must dedup row by row;
-// ORDER BY must re-sort) are Push()ed individually; the adopted/pushed
+// be adopted block-wise are Push()ed individually; the adopted/pushed
 // counters make the distinction observable, so tests and benches can
 // assert that a non-DISTINCT parallel merge performed no per-row work.
 //

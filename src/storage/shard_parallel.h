@@ -1,34 +1,29 @@
-// Shared policy pieces of the shard-parallel query drivers (the Cypher
+// Shared policy pieces of the morsel-parallel query executors (the Cypher
 // matcher and the SQL pipeline): LIMIT row-budget selection and the
-// deterministic worker-order merge. Both engines fan workers (one per
-// storage shard, or one per work-stealing morsel) onto the common thread
-// pool and stream into thread-local result sets; the subtle parts — how a
-// pushed-down LIMIT is enforced across workers and how DISTINCT survives
+// deterministic morsel-order merge. Both engines fan morsels out onto the
+// common thread pool and stream into per-morsel result sets; the subtle
+// parts — how a LIMIT is enforced across workers and how DISTINCT survives
 // the merge — live here once so the two executors cannot drift apart.
 //
 // Budget policy: without DISTINCT every emitted row counts globally, so
 // workers claim emission slots from one atomic counter (exactly `limit`
 // claims succeed, and idle workers poll the counter to abandon their
-// scans early). With streaming DISTINCT a global count cannot know about
-// cross-shard duplicates, so each worker dedups locally up to the limit
+// scans early). With DISTINCT a global count cannot know about
+// cross-morsel duplicates, so each morsel dedups locally up to the limit
 // and the merge dedups again. That guarantees the merged unique-row count
-// is never BELOW min(limit, full distinct count) — every worker either
-// filled the limit by itself or exhausted its shard — but it can exceed
-// the limit (disjoint shards can each contribute up to `limit` rows): the
-// executors' trailing LIMIT resize is load-bearing for pushed-down
-// DISTINCT limits, not a legacy safety net.
+// is never BELOW min(limit, full distinct count) — every morsel either
+// filled the limit by itself or exhausted its seeds — but it can exceed
+// the limit (disjoint morsels can each contribute up to `limit` rows), so
+// the executors truncate after the merge.
 //
-// DISTINCT merge: workers hash-partition their emissions by row hash into
+// DISTINCT merge: morsels hash-partition their emissions by row hash into
 // kDistinctPartitions buckets (WorkerRows::parts). Duplicate rows always
 // land in the same partition, so the merge dedups one partition at a time
-// (per-partition seen-set, worker order within a partition), compacts each
-// worker's surviving rows in place, and adopts the compacted vectors as
-// whole blocks — the same zero-copy merge non-DISTINCT always had
-// (RowBlocks::pushed_rows() stays 0). Output order is partition-major,
-// worker-minor: a different row order than the pre-partitioned merge
-// produced, but deterministic for a fixed storage layout, and row *sets*
-// are unchanged (the differential harness compares DISTINCT results
-// order-normalized).
+// (per-partition seen-set, morsel order within a partition), compacts each
+// morsel's surviving rows in place, and adopts the compacted vectors as
+// whole blocks (RowBlocks::pushed_rows() stays 0). Output order is
+// partition-major, morsel-minor: deterministic for a fixed storage layout,
+// and the row set equals the serial run's.
 #pragma once
 
 #include <atomic>
@@ -43,8 +38,7 @@
 
 namespace raptor::storage {
 
-/// Number of hash partitions the streaming-DISTINCT sinks spread rows
-/// over. Power of two (partition index is hash & (kDistinctPartitions-1)).
+/// Number of hash partitions the DISTINCT sinks spread rows over. Power of two (partition index is hash & (kDistinctPartitions-1)).
 constexpr size_t kDistinctPartitions = 8;
 
 /// Partition index of a result row (sinks and the merge must agree).
@@ -52,9 +46,9 @@ inline size_t DistinctPartitionOf(const std::vector<sql::Value>& row) {
   return sql::ValueRowHash{}(row) & (kDistinctPartitions - 1);
 }
 
-/// Per-worker result container for the parallel drivers. Non-DISTINCT
-/// emissions stream into `rows`; streaming-DISTINCT emissions are
-/// hash-partitioned into `parts` (sized lazily by the sink).
+/// Per-morsel result container for the parallel schedulers. Non-DISTINCT
+/// emissions stream into `rows`; DISTINCT emissions are hash-partitioned
+/// into `parts` (sized lazily by the sink).
 struct WorkerRows {
   std::vector<std::vector<sql::Value>> rows;
   std::vector<std::vector<std::vector<sql::Value>>> parts;
@@ -62,17 +56,18 @@ struct WorkerRows {
   void EnableDistinctPartitions() { parts.resize(kDistinctPartitions); }
 };
 
-/// LIMIT enforcement for a fleet of shard workers. Wire `shared_claimed()`
-/// / `shared_cap` and `local_cap` into each worker's row sink.
+/// LIMIT enforcement for a fleet of morsel workers. Wire
+/// `shared_claimed()` / `shared_cap` and `local_cap` into each morsel's row
+/// sink. A negative `limit` means no early stop.
 struct ShardRowBudget {
   std::atomic<size_t> claimed{0};
   size_t shared_cap = 0;
   size_t local_cap = static_cast<size_t>(-1);
   bool shared = false;
 
-  ShardRowBudget(bool push_limit, bool streaming_distinct, long long limit) {
-    if (!push_limit) return;
-    if (streaming_distinct) {
+  ShardRowBudget(bool distinct, long long limit) {
+    if (limit < 0) return;
+    if (distinct) {
       local_cap = static_cast<size_t>(limit);
     } else {
       shared = true;
@@ -83,23 +78,18 @@ struct ShardRowBudget {
   std::atomic<size_t>* shared_claimed() { return shared ? &claimed : nullptr; }
 };
 
-/// Merge per-worker results in worker order (deterministic for a fixed
-/// storage layout and morsel carve): fail on the first worker error, let
-/// `on_run` fold each worker's stats, and hand the rows to `out`. Without
-/// streaming DISTINCT every worker's row vector is adopted wholesale as
-/// one block. With streaming DISTINCT the merge dedups partition by
-/// partition (see the header comment) and adopts each worker's compacted
-/// partition vector — also block-wise. `Run` must expose a `Status error`
-/// and a WorkerRows at `rs`.
-template <class Run, class OnRun>
-Status MergeShardRuns(std::vector<Run>& runs, bool streaming_distinct,
-                      RowBlocks<std::vector<sql::Value>>* out,
-                      OnRun&& on_run) {
-  for (Run& run : runs) {
-    RAPTOR_RETURN_NOT_OK(run.error);
-    on_run(run);
-  }
-  if (!streaming_distinct) {
+/// Merge per-morsel results in morsel order (deterministic for a fixed
+/// storage layout and morsel carve): fail on the first morsel error and
+/// hand the rows to `out`. Without DISTINCT every morsel's row vector is
+/// adopted wholesale as one block. With DISTINCT the merge dedups
+/// partition by partition (see the header comment) and adopts each
+/// morsel's compacted partition vector — also block-wise. `Run` must
+/// expose a `Status error` and a WorkerRows at `rs`.
+template <class Run>
+Status MergeShardRuns(std::vector<Run>& runs, bool distinct,
+                      RowBlocks<std::vector<sql::Value>>* out) {
+  for (Run& run : runs) RAPTOR_RETURN_NOT_OK(run.error);
+  if (!distinct) {
     for (Run& run : runs) out->Adopt(std::move(run.rs.rows));
     return Status::OK();
   }

@@ -1,6 +1,7 @@
 #include "tbql/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,6 +18,34 @@ struct Token {
   std::string text;
   size_t pos = 0;
 };
+
+/// Checked conversion of a numeric token. std::from_chars reports an
+/// out-of-range literal (or an int bound that does not fit T) instead of
+/// throwing, so hostile query text yields a parse error, never an abort.
+template <class T>
+Result<T> ParseNumber(const Token& tok) {
+  T value{};
+  const char* end = tok.text.data() + tok.text.size();
+  auto [ptr, ec] = std::from_chars(tok.text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return Status::ParseError(
+        StrFormat("number out of range: '%s' (at offset %zu)",
+                  tok.text.c_str(), tok.pos));
+  }
+  return value;
+}
+
+/// `amount` units of `scale` microseconds, or a parse error on overflow.
+Result<audit::Timestamp> ScaleAmount(const Token& tok, int64_t amount,
+                                     audit::Timestamp scale) {
+  audit::Timestamp out = 0;
+  if (__builtin_mul_overflow(amount, scale, &out)) {
+    return Status::ParseError(
+        StrFormat("duration out of range: '%s' (at offset %zu)",
+                  tok.text.c_str(), tok.pos));
+  }
+  return out;
+}
 
 const std::unordered_set<std::string>& Keywords() {
   static const std::unordered_set<std::string> kKeywords = {
@@ -250,7 +279,7 @@ class Parser {
 
   Result<audit::Timestamp> ParseTimestamp() {
     if (Peek().kind != Tok::kInt) return Err("expected integer timestamp");
-    return static_cast<audit::Timestamp>(std::stoll(Next().text));
+    return ParseNumber<audit::Timestamp>(Next());
   }
 
   Result<TimeWindow> ParseWindow() {
@@ -275,11 +304,15 @@ class Parser {
     } else if (AcceptKeyword("last")) {
       w.kind = WindowKind::kLast;
       if (Peek().kind != Tok::kInt) return Err("expected amount after 'last'");
-      long long amount = std::stoll(Next().text);
+      const Token& amount_tok = Next();
+      auto amount = ParseNumber<int64_t>(amount_tok);
+      if (!amount.ok()) return amount.status();
       if (Peek().kind != Tok::kIdent) return Err("expected time unit");
       auto scale = UnitScale(Next().text);
       if (!scale.ok()) return scale.status();
-      w.last_amount = amount * scale.value();
+      auto last = ScaleAmount(amount_tok, amount.value(), scale.value());
+      if (!last.ok()) return last.status();
+      w.last_amount = last.value();
       return w;
     } else {
       return Err("expected time window");
@@ -517,12 +550,16 @@ class Parser {
         p.path.max_len = -1;
         bool saw_min = false;
         if (Peek().kind == Tok::kInt) {
-          p.path.min_len = static_cast<int>(std::stoll(Next().text));
+          auto min_len = ParseNumber<int>(Next());
+          if (!min_len.ok()) return min_len.status();
+          p.path.min_len = min_len.value();
           saw_min = true;
         }
         if (AcceptSymbol("~")) {
           if (Peek().kind == Tok::kInt) {
-            p.path.max_len = static_cast<int>(std::stoll(Next().text));
+            auto max_len = ParseNumber<int>(Next());
+            if (!max_len.ok()) return max_len.status();
+            p.path.max_len = max_len.value();
           }
         } else if (saw_min) {
           p.path.max_len = p.path.min_len;  // exact length "(n)"
@@ -636,15 +673,23 @@ class Parser {
     }
     if (AcceptSymbol("[")) {
       if (Peek().kind != Tok::kInt) return Err("expected gap bound");
-      long long lo = std::stoll(Next().text);
+      const Token& lo_tok = Next();
+      auto lo = ParseNumber<int64_t>(lo_tok);
+      if (!lo.ok()) return lo.status();
       TBQL_RETURN_NOT_OK(ExpectSymbol("-"));
       if (Peek().kind != Tok::kInt) return Err("expected gap bound");
-      long long hi = std::stoll(Next().text);
+      const Token& hi_tok = Next();
+      auto hi = ParseNumber<int64_t>(hi_tok);
+      if (!hi.ok()) return hi.status();
       if (Peek().kind != Tok::kIdent) return Err("expected time unit");
       auto scale = UnitScale(Next().text);
       if (!scale.ok()) return scale.status();
-      rel.min_gap = lo * scale.value();
-      rel.max_gap = hi * scale.value();
+      auto min_gap = ScaleAmount(lo_tok, lo.value(), scale.value());
+      if (!min_gap.ok()) return min_gap.status();
+      auto max_gap = ScaleAmount(hi_tok, hi.value(), scale.value());
+      if (!max_gap.ok()) return max_gap.status();
+      rel.min_gap = min_gap.value();
+      rel.max_gap = max_gap.value();
       TBQL_RETURN_NOT_OK(ExpectSymbol("]"));
     }
     if (Peek().kind != Tok::kIdent) return Err("expected pattern id");

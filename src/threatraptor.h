@@ -133,11 +133,6 @@ class ThreatRaptor {
   /// withheld or before ingestion.
   Status FlushIngest();
 
-  /// One-release compatibility shim: ingest a v1 text snapshot (the
-  /// retired storage/snapshot.h format) as a parsed-log batch, carrying
-  /// the old data into the durable v2 world. See persist/legacy_v1.h.
-  Status ImportV1Snapshot(const std::string& path);
-
   /// Extract a threat behavior graph from OSCTI text (Algorithm 1).
   Result<extraction::ExtractionResult> ExtractBehaviorGraph(
       std::string_view oscti_text) const {

@@ -1,28 +1,40 @@
-// Differential testing of the streaming query pipelines: every MatchOptions
-// / SelectOptions toggle combination — including columnar vs legacy-row
-// scans, and crossed with the three execution schedules (serial, static
-// per-shard fan-out, morsel work-stealing with tiny morsels; the fan-out
-// thresholds are zeroed so even these tiny fixtures exercise the parallel
-// drivers) — must agree with the reference configuration on a catalog of
-// Cypher and SQL queries over randomized small graphs/tables built from
-// the shared synthetic-graph fixture.
+// Differential testing of both query executors against independent
+// brute-force oracles (tests/fixtures/cypher_oracle.h, sql_oracle.h).
 //
-// Queries without LIMIT must return identical (order-normalized) result
-// multisets. Queries with LIMIT may legitimately return different subsets
-// across configurations (toggles change seed and expansion order, and
-// parallel workers race for the row budget), so they are checked
-// structurally instead: the row count must be min(limit,
-// full_result_count) and every returned row must come from the full
-// (un-limited) reference result; DISTINCT additionally requires the
-// returned rows to be unique.
+// The oracles share nothing with the executors but the parsers' ASTs, the
+// storage records and Value's comparison semantics: the Cypher oracle
+// tries every node id and edge id for every pattern element, enumerates
+// variable-length relationships as edge-simple paths and enforces
+// relationship uniqueness across the whole MATCH; the SQL oracle filters
+// the full cross product of its tables. Neither touches an index, the
+// adjacency lists, the frozen columns, pushdown, seed selection or the
+// morsel scheduler, so agreement checks all of those at once.
 //
-// The graphs also carry planted attack subgraphs (a lateral-movement chain
-// and an exfil fan-in, tests/fixtures/synthetic_graph.h) whose exact
-// expected rows are asserted against the reference results — catching a
-// matcher that returns plausible counts but wrong entities.
+// Every query runs on both execution schedules the executors can pick:
+// serial (parallel_shards = 1) and morsel work-stealing with morsels of
+// three seeds and the fan-out thresholds zeroed, so even these tiny
+// fixtures split into several stealable morsels with a shared LIMIT
+// budget. The comparisons:
+//  * without LIMIT, the result multiset must equal the oracle's exactly
+//    (ORDER BY queries with unique keys: the exact sequence);
+//  * with LIMIT, the executors may return any qualifying subset (seed
+//    order and the morsel race decide which), so the row count must be
+//    min(limit, full count), every row must come from the oracle's full
+//    result, and DISTINCT rows must be unique; ORDER BY queries must
+//    return exactly the oracle's prefix.
+//
+// The catalog holds hand-written queries (typed / untyped / variable-length
+// expansion, joins, IN lists, DISTINCT) plus seeded random WHERE clauses
+// over the fixture properties — AND / OR / NOT, IN and NOT IN, string
+// operators, cross-kind and NULL literals, cross-variable comparisons —
+// on several MATCH / FROM shapes. The graphs also carry planted attack
+// subgraphs (a lateral-movement chain and an exfil fan-in,
+// tests/fixtures/synthetic_graph.h) whose exact rows are asserted against
+// the oracle, catching an oracle that drifts together with the executor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,7 +42,11 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "storage/graphdb/cypher_executor.h"
+#include "storage/graphdb/cypher_parser.h"
 #include "storage/relational/database.h"
+#include "storage/relational/sql_parser.h"
+#include "tests/fixtures/cypher_oracle.h"
+#include "tests/fixtures/sql_oracle.h"
 #include "tests/fixtures/synthetic_graph.h"
 
 namespace raptor {
@@ -77,18 +93,21 @@ bool AllUnique(const std::vector<std::string>& sorted_rows) {
 }
 
 struct CatalogQuery {
-  const char* text;      // base query, no LIMIT clause
+  std::string text;      // base query, no LIMIT clause
   bool distinct;         // query declares DISTINCT
-  bool ordered = false;  // results are deterministically ordered (SQL only)
+  bool ordered = false;  // ORDER BY with unique keys (SQL only)
 };
 
 // 16 crosses the parallel_min_limit default (8): the shared atomic row
 // budget actually gates emission there, unlike 1000 which rarely binds.
 const long long kLimits[] = {-1, 0, 3, 16, 1000};  // -1 = no LIMIT clause
 
+// Random WHERE clauses per seed and dialect.
+constexpr int kRandomQueries = 24;
+
 std::string WithLimit(const CatalogQuery& q, long long limit) {
   if (limit < 0) return q.text;
-  return std::string(q.text) + " LIMIT " + std::to_string(limit);
+  return q.text + " LIMIT " + std::to_string(limit);
 }
 
 /// Expected rows of a plant-targeted query, rendered like RenderRows.
@@ -101,11 +120,219 @@ std::vector<std::string> ExpectedRows(
   return out;
 }
 
+/// Check one executor result against the oracle's un-limited result.
+void CheckAgainstOracle(const CatalogQuery& q, long long limit,
+                        const std::vector<std::vector<sql::Value>>& got_rows,
+                        const std::vector<std::string>& full_ordered,
+                        const std::string& where) {
+  if (q.ordered) {
+    std::vector<std::string> expect = full_ordered;
+    if (limit >= 0 && expect.size() > static_cast<size_t>(limit)) {
+      expect.resize(static_cast<size_t>(limit));
+    }
+    EXPECT_EQ(RenderRowsOrdered(got_rows), expect) << where;
+    return;
+  }
+  std::vector<std::string> full = full_ordered;
+  std::sort(full.begin(), full.end());
+  std::vector<std::string> got = RenderRows(got_rows);
+  if (limit < 0) {
+    EXPECT_EQ(got, full) << where;
+    return;
+  }
+  EXPECT_EQ(got.size(), std::min<size_t>(static_cast<size_t>(limit),
+                                         full.size()))
+      << where;
+  EXPECT_TRUE(IsMultiSubset(got, full)) << where;
+  if (q.distinct) {
+    EXPECT_TRUE(AllUnique(got)) << where;
+  }
+}
+
+// The generators below draw from the Rng in statement order only (never
+// twice inside one expression, whose operand order is unspecified), so a
+// seed yields the same queries on every compiler.
+
+/// Literal list for IN: text items quoted, numeric items bare.
+std::string LiteralList(const std::vector<std::string>& items) {
+  std::vector<std::string> out;
+  for (const std::string& s : items) {
+    bool numeric = std::isdigit(static_cast<unsigned char>(s[0])) != 0;
+    out.push_back(numeric ? s : "'" + s + "'");
+  }
+  return Join(out, ", ");
+}
+
+/// Random boolean expression: leaves come from `atom`, inner nodes are
+/// AND / OR / NOT, fully parenthesized.
+template <class Atom>
+std::string RandomBool(Rng& rng, int depth, Atom&& atom) {
+  if (depth == 0 || rng.Chance(0.35)) return atom();
+  uint64_t kind = rng.Uniform(5);
+  std::string lhs = RandomBool(rng, depth - 1, atom);
+  if (kind == 4) return "NOT (" + lhs + ")";
+  std::string rhs = RandomBool(rng, depth - 1, atom);
+  return "(" + lhs + (kind < 2 ? " AND " : " OR ") + rhs + ")";
+}
+
+/// A random element of a C array.
+template <class T, size_t N>
+const T& PickOf(Rng& rng, const T (&items)[N]) {
+  return items[rng.Uniform(N)];
+}
+
 // --------------------------------------------------------------- Cypher
+
+/// A pattern variable of a random Cypher query shape.
+struct CypherVar {
+  std::string name;
+  enum Kind { kProc, kFile, kAnyNode, kEdge } kind;
+};
+
+/// One random comparison over the variables of a shape.
+std::string RandomCypherAtom(Rng& rng, const std::vector<CypherVar>& vars) {
+  static const char* kProcNames[] = {"/bin/p0",     "/bin/p3",
+                                     "/bin/p7",     "/attack/lm1",
+                                     "/attack/lm3", "/attack/exfil",
+                                     "/bin/zzz"};
+  static const char* kFileNames[] = {"/data/f0",     "/data/f2",
+                                     "/data/f5",     "/data/f11",
+                                     "/secret/doc2", "/attack/upload.tgz",
+                                     "/data/none"};
+  static const char* kFragments[] = {"1", "2", "/bin", "/data", "/attack",
+                                     "doc", ".tgz", "f1", "p", "lm"};
+  static const char* kCmp[] = {"=", "<>", "<", "<=", ">", ">="};
+  static const char* kStrOps[] = {"CONTAINS", "STARTS WITH", "ENDS WITH"};
+  const CypherVar& v = vars[rng.Uniform(vars.size())];
+  uint64_t shape = rng.Uniform(7);
+  std::string op = PickOf(rng, kCmp);
+  if (v.kind == CypherVar::kEdge) {
+    std::string ref = v.name + (rng.Chance(0.5) ? ".start_time" : ".end_time");
+    uint64_t n = rng.Uniform(210);
+    switch (shape % 4) {
+      case 0:  // cross-variable temporal order
+        for (const CypherVar& w : vars) {
+          if (w.kind == CypherVar::kEdge && w.name != v.name) {
+            return ref + " <= " + w.name + ".start_time";
+          }
+        }
+        return ref + " >= 0";
+      case 1:  // double literal: the row-path fallback
+        return ref + " " + op + " " + std::to_string(n) + ".5";
+      case 2:
+        return ref + " IN [" + std::to_string(n % 5 * 10) + ", " +
+               std::to_string(100 + n % 6) + ", 200]";
+      default:
+        return ref + " " + op + " " + std::to_string(n);
+    }
+  }
+  bool proc = v.kind == CypherVar::kProc ||
+              (v.kind == CypherVar::kAnyNode && rng.Chance(0.5));
+  bool swap_prop = rng.Chance(0.05);  // the other label's key: always NULL
+  std::string ref = v.name + ((proc != swap_prop) ? ".exename" : ".name");
+  auto name = [&] {
+    return std::string(proc ? PickOf(rng, kProcNames)
+                            : PickOf(rng, kFileNames));
+  };
+  switch (shape) {
+    case 0:
+    case 1:
+      return ref + " " + op + " '" + name() + "'";
+    case 2: {
+      std::string str_op = PickOf(rng, kStrOps);
+      return ref + " " + str_op + " '" + PickOf(rng, kFragments) + "'";
+    }
+    case 3: {
+      std::vector<std::string> items;
+      for (uint64_t i = 0, n = 1 + rng.Uniform(4); i < n; ++i) {
+        items.push_back(name());
+      }
+      if (rng.Chance(0.2)) items.push_back("7");  // mixed-kind list
+      std::string in = rng.Chance(0.25) ? " NOT IN [" : " IN [";
+      return ref + in + LiteralList(items) + "]";
+    }
+    case 4: {  // cross-variable comparison
+      const CypherVar& w = vars[rng.Uniform(vars.size())];
+      if (w.kind == CypherVar::kEdge || w.name == v.name) {
+        return ref + " = NULL";
+      }
+      std::string wprop = w.kind == CypherVar::kFile ? ".name" : ".exename";
+      return ref + " " + op + " " + w.name + wprop;
+    }
+    case 5:  // text vs int: a constant verdict per kind
+      return ref + " " + op + " " + std::to_string(rng.Uniform(50));
+    default:  // bare variable: the node id
+      return v.name + " <> " + std::to_string(rng.Uniform(40));
+  }
+}
+
+CatalogQuery RandomCypherQuery(Rng& rng) {
+  using V = CypherVar;
+  std::string match;
+  std::vector<CypherVar> vars;
+  std::vector<std::string> returns;
+  std::string inline_p;
+  if (rng.Chance(0.2)) {
+    inline_p = " {exename: '/bin/p" + std::to_string(rng.Uniform(8)) + "'}";
+  }
+  uint64_t shape = rng.Uniform(7);
+  std::string lo = std::to_string(rng.Uniform(2));  // varlen bounds
+  std::string hi = std::to_string(1 + rng.Uniform(3));
+  switch (shape) {
+    case 0:
+      match = "MATCH (p:proc" + inline_p + ")-[e]->(f:file)";
+      vars = {{"p", V::kProc}, {"f", V::kFile}, {"e", V::kEdge}};
+      returns = {"p.exename", "f.name", "e.start_time"};
+      break;
+    case 1:
+      match = "MATCH (p:proc" + inline_p + ")-[e:op" + hi + "]->(f:file)";
+      vars = {{"p", V::kProc}, {"f", V::kFile}, {"e", V::kEdge}};
+      returns = {"p.exename", "f.name", "f"};
+      break;
+    case 2:
+      match = "MATCH (p:proc)-[*" + lo + ".." + hi + "]->(f)";
+      vars = {{"p", V::kProc}, {"f", V::kAnyNode}};
+      returns = {"p.exename", "f.name", "f.exename"};
+      break;
+    case 3:
+      match = "MATCH (p:proc)-[e1]->(f:file), (p)-[e2]->(g:file)";
+      vars = {{"p", V::kProc}, {"f", V::kFile}, {"g", V::kFile},
+              {"e1", V::kEdge}, {"e2", V::kEdge}};
+      returns = {"p.exename", "f.name", "g.name"};
+      break;
+    case 4:
+      match = "MATCH (f:file)";
+      vars = {{"f", V::kFile}};
+      returns = {"f.name", "f"};
+      break;
+    case 5:
+      match = "MATCH (a:proc)-[:lm_hop*" + lo + ".." + hi + "]->(b:proc)";
+      vars = {{"a", V::kProc}, {"b", V::kProc}};
+      returns = {"a.exename", "b.exename"};
+      break;
+    default:
+      match = "MATCH (p:proc)-[r]->(d:file), (q:proc)-[w]->(d)";
+      vars = {{"p", V::kProc}, {"q", V::kProc}, {"d", V::kFile},
+              {"r", V::kEdge}, {"w", V::kEdge}};
+      returns = {"p.exename", "q.exename", "d.name"};
+      break;
+  }
+  CatalogQuery q;
+  q.distinct = rng.Chance(0.3);
+  std::vector<std::string> items;
+  for (const std::string& r : returns) {
+    if (items.empty() || rng.Chance(0.5)) items.push_back(r);
+  }
+  std::string where =
+      RandomBool(rng, 3, [&] { return RandomCypherAtom(rng, vars); });
+  q.text = match + " WHERE " + where + " RETURN " +
+           (q.distinct ? "DISTINCT " : "") + Join(items, ", ");
+  return q;
+}
 
 class CypherDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(CypherDifferentialTest, AllToggleCombosAgree) {
+TEST_P(CypherDifferentialTest, SerialAndMorselMatchOracle) {
   uint64_t seed = GetParam();
   Rng rng(seed);
 
@@ -124,7 +351,7 @@ TEST_P(CypherDifferentialTest, AllToggleCombosAgree) {
   if (seed % 2 == 0) db.graph().CreateNodeIndex("proc", "exename");
   if (seed % 3 != 1) db.graph().CreateNodeIndex("file", "name");
 
-  const CatalogQuery catalog[] = {
+  std::vector<CatalogQuery> catalog = {
       {"MATCH (p:proc)-[e:op1]->(f:file) RETURN p.exename, f.name", false},
       {"MATCH (p:proc {exename: '/bin/p1'})-[e]->(f:file) RETURN f.name",
        false},
@@ -152,10 +379,11 @@ TEST_P(CypherDifferentialTest, AllToggleCombosAgree) {
        "(p)-[w:exfil_write]->(a:file) RETURN p.exename, d.name, a.name",
        false},
   };
+  const size_t kPlanted = 8;  // catalog[8..10]
 
-  // Known-plant expectations: the reference result of each plant-targeted
-  // query is fully determined by the planted subgraphs, independent of the
-  // random background graph.
+  // Known-plant expectations: the result of each plant-targeted query is
+  // fully determined by the planted subgraphs, independent of the random
+  // background graph.
   std::vector<std::vector<std::string>> lm_edges, lm_reach, exfil_rows;
   for (int i = 0; i < plant_spec.lateral_hops; ++i) {
     lm_edges.push_back({"/attack/lm" + std::to_string(i),
@@ -168,67 +396,49 @@ TEST_P(CypherDifferentialTest, AllToggleCombosAgree) {
     exfil_rows.push_back({"/attack/exfil", "/secret/doc" + std::to_string(i),
                           "/attack/upload.tgz"});
   }
-  std::map<std::string, std::vector<std::string>> planted = {
-      {catalog[8].text, ExpectedRows(lm_edges)},
-      {catalog[9].text, ExpectedRows(lm_reach)},
-      {catalog[10].text, ExpectedRows(exfil_rows)},
-  };
+  const std::vector<std::string> planted[] = {
+      ExpectedRows(lm_edges), ExpectedRows(lm_reach),
+      ExpectedRows(exfil_rows)};
 
-  for (const CatalogQuery& q : catalog) {
-    // Reference: default (all-optimized) configuration, no LIMIT, serial.
-    db.options() = graphdb::MatchOptions{};
-    db.options().parallel_shards = 1;
-    auto full_rs = db.Query(q.text);
+  for (int i = 0; i < kRandomQueries; ++i) {
+    catalog.push_back(RandomCypherQuery(rng));
+  }
+
+  fixtures::CypherOracle oracle(db.graph());
+  size_t nonempty_random = 0;
+  for (size_t qi = 0; qi < catalog.size(); ++qi) {
+    const CatalogQuery& q = catalog[qi];
+    auto parsed = graphdb::ParseCypher(q.text);
+    ASSERT_TRUE(parsed.ok()) << q.text << ": " << parsed.status().ToString();
+    auto full_rs = oracle.Run(parsed.value());
     ASSERT_TRUE(full_rs.ok()) << q.text << ": " << full_rs.status().ToString();
-    std::vector<std::string> full = RenderRows(full_rs.value().rows);
-    auto plant_it = planted.find(q.text);
-    if (plant_it != planted.end()) {
-      EXPECT_EQ(full, plant_it->second) << q.text;
+    std::vector<std::string> full = RenderRowsOrdered(full_rs.value());
+    if (qi >= kPlanted && qi < kPlanted + 3) {
+      EXPECT_EQ(RenderRows(full_rs.value()), planted[qi - kPlanted]) << q.text;
+    }
+    if (qi >= catalog.size() - kRandomQueries && !full.empty()) {
+      ++nonempty_random;
     }
 
     for (long long limit : kLimits) {
       std::string text = WithLimit(q, limit);
-      for (int combo = 0; combo < 128; ++combo) {
-        // Schedule dimension: 0 = serial, 1 = static per-shard fan-out,
-        // 2 = morsel work-stealing (tiny morsels so even these graphs
-        // split into several stealable chunks).
-        for (int sched = 0; sched < 3; ++sched) {
-          graphdb::MatchOptions opts;
-          opts.typed_adjacency = combo & 1;
-          opts.hashed_in_lists = combo & 2;
-          opts.push_limit = combo & 4;
-          opts.streaming_distinct = combo & 8;
-          opts.binding_frames = combo & 16;
-          opts.selective_seeds = combo & 32;
-          opts.columnar_scan = combo & 64;
-          opts.parallel_shards = sched == 0 ? 1 : 4;
-          opts.morsel_scheduling = sched == 2;
-          opts.morsel_size = 3;
-          opts.parallel_min_seeds = 0;  // fan out even on these tiny graphs
-          db.options() = opts;
-
-          auto rs = db.Query(text);
-          ASSERT_TRUE(rs.ok()) << text << ": " << rs.status().ToString();
-          std::vector<std::string> got = RenderRows(rs.value().rows);
-          if (limit < 0) {
-            EXPECT_EQ(got, full)
-                << text << " combo=" << combo << " sched=" << sched;
-            continue;
-          }
-          size_t expect_n =
-              std::min<size_t>(static_cast<size_t>(limit), full.size());
-          EXPECT_EQ(got.size(), expect_n)
-              << text << " combo=" << combo << " sched=" << sched;
-          EXPECT_TRUE(IsMultiSubset(got, full))
-              << text << " combo=" << combo << " sched=" << sched;
-          if (q.distinct) {
-            EXPECT_TRUE(AllUnique(got))
-                << text << " combo=" << combo << " sched=" << sched;
-          }
-        }
+      for (bool morsel : {false, true}) {
+        graphdb::MatchOptions opts;
+        opts.parallel_shards = morsel ? 4 : 1;
+        opts.morsel_size = 3;
+        opts.parallel_min_seeds = 0;  // fan out even on these tiny graphs
+        opts.parallel_min_limit = 0;
+        db.options() = opts;
+        auto rs = db.Query(text);
+        ASSERT_TRUE(rs.ok()) << text << ": " << rs.status().ToString();
+        CheckAgainstOracle(q, limit, rs.value().rows, full,
+                           text + (morsel ? " [morsel]" : " [serial]"));
       }
     }
   }
+  // Guard against a degenerate generator: most random queries must match
+  // something, or agreement on empty results would prove little.
+  EXPECT_GE(nonempty_random, static_cast<size_t>(kRandomQueries / 3));
   db.options() = graphdb::MatchOptions{};
 }
 
@@ -237,9 +447,116 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CypherDifferentialTest,
 
 // ------------------------------------------------------------------ SQL
 
+/// One random comparison over columns of t (id, name, score) and/or
+/// u (id, tid, tag); `qualify` prefixes the alias (multi-table queries).
+std::string RandomSqlAtom(Rng& rng, bool use_t, bool use_u, bool qualify) {
+  static const char* kNames[] = {"/bin/tar", "/bin/cat", "/tmp/x.sh",
+                                 "/etc/passwd", "/none"};
+  static const char* kTags[] = {"x", "y", "z", "w"};
+  static const char* kLikes[] = {"%tar%", "/bin/%", "%.sh", "_bin%", "%"};
+  static const char* kCmp[] = {"=", "<>", "!=", "<", "<=", ">", ">="};
+  bool t = use_t && (!use_u || rng.Chance(0.6));
+  std::string pre = qualify ? (t ? "t." : "u.") : "";
+  bool first_int = rng.Chance(0.5);
+  std::string int_col = pre + (t ? (first_int ? "score" : "id")
+                                 : (first_int ? "tid" : "id"));
+  std::string text_col = pre + (t ? "name" : "tag");
+  auto text_lit = [&] {
+    return std::string(t ? PickOf(rng, kNames) : PickOf(rng, kTags));
+  };
+  uint64_t bound = t ? 100 : 40;
+  uint64_t shape = rng.Uniform(10);
+  std::string op = PickOf(rng, kCmp);
+  std::string n = std::to_string(rng.Uniform(bound));
+  switch (shape) {
+    case 0:
+    case 1:
+      return int_col + " " + op + " " + n;
+    case 2:  // literal on the left (mirrored compare)
+      return n + " " + op + " " + int_col;
+    case 3:  // double / NULL literal: the row-path fallback
+      return int_col + " " + op + " " +
+             (rng.Chance(0.7) ? n + ".5" : std::string("NULL"));
+    case 4:
+      return text_col + " " + op + " '" + text_lit() + "'";
+    case 5:  // cross-kind compare folds to a constant per column kind
+      if (rng.Chance(0.5)) return text_col + " " + op + " 5";
+      return int_col + " " + op + " '" + text_lit() + "'";
+    case 6: {
+      std::string like = rng.Chance(0.3) ? " NOT LIKE '" : " LIKE '";
+      return text_col + like + PickOf(rng, kLikes) + "'";
+    }
+    case 7: {
+      bool ints = rng.Chance(0.5);
+      std::vector<std::string> items;
+      for (uint64_t i = 0, k = 1 + rng.Uniform(4); i < k; ++i) {
+        items.push_back(ints ? std::to_string(rng.Uniform(bound))
+                             : text_lit());
+      }
+      if (rng.Chance(0.15)) items.push_back(ints ? "x" : "3");  // mixed
+      std::string in = rng.Chance(0.25) ? " NOT IN (" : " IN (";
+      return (ints ? int_col : text_col) + in + LiteralList(items) + ")";
+    }
+    case 8: {  // arithmetic
+      std::string add = std::to_string(rng.Uniform(20));
+      return int_col + " + " + add + " " + op + " " + n;
+    }
+    default:  // cross-table (non-equi) compare, or two columns of one table
+      if (use_t && use_u) return "t.score " + op + " u.id";
+      return int_col + " " + op + " " + pre + (t ? "score" : "id");
+  }
+}
+
+CatalogQuery RandomSqlQuery(Rng& rng) {
+  CatalogQuery q;
+  q.distinct = false;
+  bool use_t = true, use_u = true, qualify = true;
+  std::string head, tail;
+  uint64_t shape = rng.Uniform(8);
+  switch (shape) {
+    case 0:
+      use_u = qualify = false;
+      head = "SELECT id, name, score FROM t WHERE ";
+      break;
+    case 1:
+      head = "SELECT t.id, u.tag FROM t, u WHERE t.id = u.tid AND ";
+      break;
+    case 2:
+      use_u = qualify = false;
+      q.distinct = true;
+      head = "SELECT DISTINCT name FROM t WHERE ";
+      break;
+    case 3:
+      head = "SELECT t.name, u.tag, u.id FROM t JOIN u ON t.id = u.tid "
+             "WHERE ";
+      break;
+    case 4:
+      head = "SELECT t.id, u.id FROM t, u WHERE ";
+      break;
+    case 5:
+      q.distinct = true;
+      head = "SELECT DISTINCT u.tag, t.name FROM u, t WHERE u.tid = t.id AND ";
+      break;
+    case 6:
+      use_t = qualify = false;
+      head = "SELECT * FROM u WHERE ";
+      break;
+    default:
+      use_u = qualify = false;
+      q.ordered = true;  // id breaks every score tie
+      head = "SELECT id, score FROM t WHERE ";
+      tail = " ORDER BY score DESC, id";
+      break;
+  }
+  std::string where = RandomBool(
+      rng, 3, [&] { return RandomSqlAtom(rng, use_t, use_u, qualify); });
+  q.text = head + where + tail;
+  return q;
+}
+
 class SqlDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SqlDifferentialTest, AllToggleCombosAgree) {
+TEST_P(SqlDifferentialTest, SerialAndMorselMatchOracle) {
   uint64_t seed = GetParam();
   Rng rng(seed * 977 + 13);
 
@@ -278,7 +595,7 @@ TEST_P(SqlDifferentialTest, AllToggleCombosAgree) {
     ASSERT_TRUE(db.CreateIndex("u", "tid").ok());
   }
 
-  const CatalogQuery catalog[] = {
+  std::vector<CatalogQuery> catalog = {
       {"SELECT id FROM t WHERE score > 40", false},
       {"SELECT DISTINCT name FROM t", true},
       {"SELECT id FROM t WHERE name IN ('/bin/tar', '/tmp/x.sh', '/none')",
@@ -292,69 +609,40 @@ TEST_P(SqlDifferentialTest, AllToggleCombosAgree) {
       {"SELECT name, score FROM t WHERE score > 10 AND name LIKE '/bin/%'",
        false},
   };
+  for (int i = 0; i < kRandomQueries; ++i) {
+    catalog.push_back(RandomSqlQuery(rng));
+  }
 
-  for (const CatalogQuery& q : catalog) {
-    // Reference: default configuration, no LIMIT, serial.
-    db.options() = sql::SelectOptions{};
-    db.options().parallel_shards = 1;
-    auto full_rs = db.Query(q.text);
+  fixtures::SqlOracle oracle(db);
+  size_t nonempty_random = 0;
+  for (size_t qi = 0; qi < catalog.size(); ++qi) {
+    const CatalogQuery& q = catalog[qi];
+    auto parsed = sql::ParseSelect(q.text);
+    ASSERT_TRUE(parsed.ok()) << q.text << ": " << parsed.status().ToString();
+    auto full_rs = oracle.Run(parsed.value());
     ASSERT_TRUE(full_rs.ok()) << q.text << ": " << full_rs.status().ToString();
-    // Ordered queries compare positionally (no sort normalization).
-    std::vector<std::string> full_ordered =
-        RenderRowsOrdered(full_rs.value().rows);
-    std::vector<std::string> full = full_ordered;
-    std::sort(full.begin(), full.end());
+    std::vector<std::string> full = RenderRowsOrdered(full_rs.value());
+    if (qi >= catalog.size() - kRandomQueries && !full.empty()) {
+      ++nonempty_random;
+    }
 
     for (long long limit : kLimits) {
       std::string text = WithLimit(q, limit);
-      for (int combo = 0; combo < 8; ++combo) {
-        // Schedule dimension: 0 = serial, 1 = static per-shard fan-out,
-        // 2 = morsel work-stealing (tiny morsels so even these tables
-        // split into several stealable chunks).
-        for (int sched = 0; sched < 3; ++sched) {
-          sql::SelectOptions opts;
-          opts.push_limit = combo & 1;
-          opts.streaming_distinct = combo & 2;
-          opts.columnar_scan = combo & 4;
-          opts.parallel_shards = sched == 0 ? 1 : 4;
-          opts.morsel_scheduling = sched == 2;
-          opts.morsel_size = 3;
-          opts.parallel_min_rows = 0;  // fan out even on these tiny tables
-          db.options() = opts;
-
-          auto rs = db.Query(text);
-          ASSERT_TRUE(rs.ok()) << text << ": " << rs.status().ToString();
-          if (q.ordered) {
-            // Deterministic order: the LIMIT prefix must match exactly.
-            std::vector<std::string> got = RenderRowsOrdered(rs.value().rows);
-            std::vector<std::string> expect = full_ordered;
-            if (limit >= 0 && expect.size() > static_cast<size_t>(limit)) {
-              expect.resize(static_cast<size_t>(limit));
-            }
-            EXPECT_EQ(got, expect)
-                << text << " combo=" << combo << " sched=" << sched;
-            continue;
-          }
-          std::vector<std::string> got = RenderRows(rs.value().rows);
-          if (limit < 0) {
-            EXPECT_EQ(got, full)
-                << text << " combo=" << combo << " sched=" << sched;
-            continue;
-          }
-          size_t expect_n =
-              std::min<size_t>(static_cast<size_t>(limit), full.size());
-          EXPECT_EQ(got.size(), expect_n)
-              << text << " combo=" << combo << " sched=" << sched;
-          EXPECT_TRUE(IsMultiSubset(got, full))
-              << text << " combo=" << combo << " sched=" << sched;
-          if (q.distinct) {
-            EXPECT_TRUE(AllUnique(got))
-                << text << " combo=" << combo << " sched=" << sched;
-          }
-        }
+      for (bool morsel : {false, true}) {
+        sql::SelectOptions opts;
+        opts.parallel_shards = morsel ? 4 : 1;
+        opts.morsel_size = 3;
+        opts.parallel_min_rows = 0;  // fan out even on these tiny tables
+        opts.parallel_min_limit = 0;
+        db.options() = opts;
+        auto rs = db.Query(text);
+        ASSERT_TRUE(rs.ok()) << text << ": " << rs.status().ToString();
+        CheckAgainstOracle(q, limit, rs.value().rows, full,
+                           text + (morsel ? " [morsel]" : " [serial]"));
       }
     }
   }
+  EXPECT_GE(nonempty_random, static_cast<size_t>(kRandomQueries / 3));
   db.options() = sql::SelectOptions{};
 }
 

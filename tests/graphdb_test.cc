@@ -135,19 +135,13 @@ TEST_F(GraphDbTest, DistinctAndLimit) {
 }
 
 TEST_F(GraphDbTest, LimitZeroReturnsNothing) {
-  for (bool push : {true, false}) {
-    db_.options().push_limit = push;
-    MatchStats stats;
-    auto rs = db_.Query("MATCH (p:proc)-[e]->(o) RETURN p.exename LIMIT 0",
-                        &stats);
-    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    EXPECT_TRUE(rs.value().rows.empty());
-    // The pushed-down LIMIT 0 never starts matching at all.
-    if (push) {
-      EXPECT_EQ(stats.seed_candidates, 0u);
-    }
-  }
-  db_.options().push_limit = true;
+  MatchStats stats;
+  auto rs = db_.Query("MATCH (p:proc)-[e]->(o) RETURN p.exename LIMIT 0",
+                      &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_TRUE(rs.value().rows.empty());
+  // LIMIT 0 never starts matching at all.
+  EXPECT_EQ(stats.seed_candidates, 0u);
 }
 
 TEST_F(GraphDbTest, LimitLargerThanResultSet) {
@@ -158,20 +152,17 @@ TEST_F(GraphDbTest, LimitLargerThanResultSet) {
 }
 
 TEST_F(GraphDbTest, DistinctLimitCountsPostDedupRows) {
-  // tar has 2 out-edges, so non-distinct rows would reach the limit before
-  // two distinct exenames exist. The limit must count deduped rows — in
-  // the streaming configuration and in the legacy combination where the
-  // pushdown has to disable itself (final dedup + push_limit).
-  const char* q =
-      "MATCH (p:proc)-[e]->(o) RETURN DISTINCT p.exename LIMIT 2";
-  for (bool streaming : {true, false}) {
-    db_.options().streaming_distinct = streaming;
-    auto rs = db_.Query(q);
-    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    ASSERT_EQ(rs.value().rows.size(), 2u) << "streaming=" << streaming;
-    EXPECT_NE(rs.value().rows[0][0].AsText(), rs.value().rows[1][0].AsText());
-  }
-  db_.options().streaming_distinct = true;
+  // tar and bzip2 each have two out-edges and curl one, so in any seed
+  // order the first three rows before dedup name at most two procs. A
+  // limit counted after dedup returns every distinct exename.
+  auto rs = db_.Query(
+      "MATCH (p:proc)-[e]->(o) RETURN DISTINCT p.exename LIMIT 3");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  std::vector<std::string> got;
+  for (const auto& row : rs.value().rows) got.push_back(row[0].AsText());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::string>{"/bin/bzip2", "/bin/tar",
+                                           "/usr/bin/curl"}));
 }
 
 TEST_F(GraphDbTest, LimitWithMultiPatternJoin) {
@@ -194,27 +185,22 @@ TEST_F(GraphDbTest, LimitWithMultiPatternJoin) {
   EXPECT_TRUE(found);
 }
 
-TEST_F(GraphDbTest, PushedLimitStopsSeedIteration) {
-  const char* q = "MATCH (p:proc)-[e]->(o) RETURN p.exename LIMIT 1";
-  MatchStats pushed, legacy;
-  auto fast = db_.Query(q, &pushed);
-  db_.options().push_limit = false;
-  auto slow = db_.Query(q, &legacy);
-  db_.options().push_limit = true;
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  EXPECT_EQ(fast.value().rows.size(), 1u);
-  EXPECT_EQ(slow.value().rows.size(), 1u);
-  // Streaming stops after the first complete match; the legacy path visits
-  // every proc seed before truncating.
-  EXPECT_LT(pushed.seed_candidates, legacy.seed_candidates);
-  EXPECT_EQ(pushed.seed_candidates, 1u);
+TEST_F(GraphDbTest, LimitStopsSeedIteration) {
+  // The search stops after the first complete match: one of the three
+  // proc seeds is visited, not all of them.
+  MatchStats stats;
+  auto rs = db_.Query("MATCH (p:proc)-[e]->(o) RETURN p.exename LIMIT 1",
+                      &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs.value().rows.size(), 1u);
+  EXPECT_EQ(stats.seed_candidates, 1u);
+  EXPECT_EQ(stats.rows_emitted, 1u);
 }
 
 TEST_F(GraphDbTest, SelectiveSeedsPickSmallestIndexProbe) {
   // Several procs share an exename while pid stays unique; with both props
-  // indexed, the pattern lists exename first, so the legacy choice probes
-  // the big bucket while the selective one probes the single-pid bucket.
+  // indexed, the pattern lists exename first, but the seed must come from
+  // the single-pid bucket, not the 8-node exename bucket.
   PropertyGraph& g = db_.graph();
   for (int i = 0; i < 8; ++i) {
     g.AddNode("proc", {{"exename", Value("/bin/dup")},
@@ -230,17 +216,12 @@ TEST_F(GraphDbTest, SelectiveSeedsPickSmallestIndexProbe) {
 
   const char* q =
       "MATCH (p:proc {exename: '/bin/dup', pid: 503}) RETURN p.pid";
-  MatchStats selective, legacy;
-  auto fast = db_.Query(q, &selective);
-  db_.options().selective_seeds = false;
-  auto slow = db_.Query(q, &legacy);
-  db_.options().selective_seeds = true;
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  EXPECT_EQ(fast.value().rows, slow.value().rows);
-  ASSERT_EQ(fast.value().rows.size(), 1u);
-  EXPECT_EQ(selective.seed_candidates, 1u);  // pid probe
-  EXPECT_EQ(legacy.seed_candidates, 8u);     // exename probe
+  MatchStats match;
+  auto rs = db_.Query(q, &match);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs.value().rows.size(), 1u);
+  EXPECT_EQ(rs.value().rows[0][0].AsInt(), 503);
+  EXPECT_EQ(match.seed_candidates, 1u);  // pid probe, not the 8 exenames
 }
 
 TEST_F(GraphDbTest, StartsWithEndsWith) {
@@ -256,6 +237,23 @@ TEST_F(GraphDbTest, ParseErrors) {
   EXPECT_FALSE(db_.Query("MATCH (p:proc RETURN p.exename").ok());
   EXPECT_FALSE(db_.Query("MATCH (p:proc) WHERE RETURN p.x").ok());
   EXPECT_FALSE(db_.Query("(p:proc)-[]->(f) RETURN f.name").ok());
+}
+
+TEST_F(GraphDbTest, OutOfRangeNumbersAreParseErrors) {
+  // Numbers that do not fit their field must come back as a parse error,
+  // never as an exception (which aborts the process) or a truncated bound.
+  const std::string kQueries[] = {
+      "MATCH (p:proc) WHERE p.pid = 99999999999999999999999 RETURN p",
+      "MATCH (p:proc) WHERE p.pid < 1" + std::string(400, '0') +
+          ".5 RETURN p",
+      "MATCH (p:proc)-[*1..99999999999]->(f) RETURN f",
+      "MATCH (p:proc) RETURN p LIMIT 99999999999999999999",
+  };
+  for (const std::string& text : kQueries) {
+    auto q = ParseCypher(text);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError) << text;
+  }
 }
 
 TEST_F(GraphDbTest, UnboundVariableInReturnFails) {
@@ -275,21 +273,21 @@ TEST_F(GraphDbTest, RelationshipUniqueness) {
   EXPECT_TRUE(rs.value().rows.empty());
 }
 
-TEST_F(GraphDbTest, TypedAdjacencyMatchesFullScanResults) {
-  // The grouped-by-type expansion must return exactly what the legacy full
-  // edge-list scan returns, while traversing fewer edges.
-  const char* q =
-      "MATCH (p:proc)-[e:write]->(f:file) RETURN p.exename, f.name";
-  MatchStats fast_stats, slow_stats;
-  auto fast = db_.Query(q, &fast_stats);
-  db_.options().typed_adjacency = false;
-  auto slow = db_.Query(q, &slow_stats);
-  db_.options().typed_adjacency = true;
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  EXPECT_EQ(fast.value().rows, slow.value().rows);
-  // tar has 1 write among 2 out-edges; the typed path skips the read.
-  EXPECT_LT(fast_stats.edges_traversed, slow_stats.edges_traversed);
+TEST_F(GraphDbTest, TypedExpansionTouchesOnlyTypedEdges) {
+  // The per-type adjacency groups hand the matcher exactly the fixture's
+  // two write edges; the reads and the connect are never looked at.
+  MatchStats stats;
+  auto rs = db_.Query(
+      "MATCH (p:proc)-[e:write]->(f:file) RETURN p.exename, f.name", &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  std::vector<std::vector<Value>> rows = rs.value().rows;
+  std::sort(rows.begin(), rows.end());
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0].AsText(), "/bin/bzip2");
+  EXPECT_EQ(rows[0][1].AsText(), "/tmp/upload.tar.bz2");
+  EXPECT_EQ(rows[1][0].AsText(), "/bin/tar");
+  EXPECT_EQ(rows[1][1].AsText(), "/tmp/upload.tar");
+  EXPECT_EQ(stats.edges_traversed, 2u);
 }
 
 TEST_F(GraphDbTest, TypedExpansionOfAbsentTypeMatchesNothing) {
@@ -316,17 +314,15 @@ TEST_F(GraphDbTest, InternedLabelsAndTypes) {
 }
 
 TEST_F(GraphDbTest, InListUsesHashedProbe) {
-  const char* q =
-      "MATCH (f:file) WHERE f.name IN ['/etc/passwd', '/tmp/upload.tar'] "
-      "RETURN f.name";
-  auto hashed = db_.Query(q);
-  db_.options().hashed_in_lists = false;
-  auto scanned = db_.Query(q);
-  db_.options().hashed_in_lists = true;
-  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
-  ASSERT_TRUE(scanned.ok());
-  EXPECT_EQ(hashed.value().rows.size(), 2u);
-  EXPECT_EQ(hashed.value().rows, scanned.value().rows);
+  auto rs = db_.Query(
+      "MATCH (f:file) WHERE f.name IN ['/etc/passwd', '/tmp/upload.tar', "
+      "'/no/such'] RETURN f.name");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  std::vector<std::string> got;
+  for (const auto& row : rs.value().rows) got.push_back(row[0].AsText());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got,
+            (std::vector<std::string>{"/etc/passwd", "/tmp/upload.tar"}));
 }
 
 TEST_F(GraphDbTest, FindPropHeterogeneousLookup) {

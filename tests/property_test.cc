@@ -272,11 +272,10 @@ TEST_P(SmallVectorPropertyTest, AgreesWithVectorReference) {
   }
 }
 
-/// Binding-frame round trip: a flat slot frame (the matcher's FrameBinding
+/// Binding-frame round trip: a flat slot frame (the matcher's Binding
 /// layout — SmallVector indexed by interned slot, sentinel = unbound) must
-/// behave exactly like the legacy map-based binding under random
-/// bind/unbind/read sequences, including slot counts past the inline
-/// capacity.
+/// behave exactly like a map keyed by slot under random bind/unbind/read
+/// sequences, including slot counts past the inline capacity.
 TEST_P(SmallVectorPropertyTest, SlotFrameMatchesMapBinding) {
   constexpr uint64_t kUnbound = static_cast<uint64_t>(-1);
   Rng rng(GetParam() * 131 + 7);

@@ -907,7 +907,7 @@ TEST(HuntServiceObsTest, TbqlProfileCarriesPatternAndPhaseSpans) {
 
 TEST(HuntServiceObsTest, StorageScanSpansCarryWorkCounters) {
   // Big enough to clear the parallel fan-out thresholds so the storage
-  // executors emit per-shard (or per-morsel-worker) scan spans.
+  // executors emit per-morsel-worker scan spans.
   auto tr = BuildWideStore(100, 30);
   HuntService service(tr->store());
   HuntRequest request = Req(
@@ -919,7 +919,6 @@ TEST(HuntServiceObsTest, StorageScanSpansCarryWorkCounters) {
   ASSERT_NE(response.value().profile, nullptr);
 
   std::vector<const obs::TraceSpan*> scans;
-  CollectSpans(*response.value().profile, "shard[", &scans);
   CollectSpans(*response.value().profile, "morsel_worker[", &scans);
   ASSERT_GE(scans.size(), 1u) << "parallel scan must emit per-worker spans";
   int64_t rows = 0, seeds = 0;

@@ -1,96 +1,11 @@
-// The v1 text snapshot format is retired: persistence now goes through
-// persist::Checkpointer (see persist_test.cc / recovery_test.cc). What
-// remains here is the one-release compatibility shim that imports v1 data
-// — plus the ExplainPlanText coverage that always lived in this file.
+// EXPLAIN plan rendering (engine/explain.h). Persistence itself is
+// covered by persist_test.cc and recovery_test.cc.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "engine/explain.h"
-#include "persist/legacy_v1.h"
-#include "threatraptor.h"
 
 namespace raptor {
 namespace {
-
-// A v1 snapshot as the previous release's SaveSnapshot wrote it: header,
-// "E <n>" + tab-separated entity lines (type, name, exename, pid, cmd,
-// srcip, srcport, dstip, dstport, protocol, user, group), then "V <n>" +
-// event lines (subject, object, op, start, end, amount, failure).
-constexpr char kV1Blob[] =
-    "raptor-snapshot v1\n"
-    "E 3\n"
-    "1\t\tcurl\t42\tcurl http://x\t\t0\t\t0\t\talice\tusers\n"
-    "0\t/tmp/out.bin\t\t0\t\t\t0\t\t0\t\talice\tusers\n"
-    "2\t\t\t0\t\t10.0.0.5\t5000\t93.184.216.34\t80\ttcp\t\t\n"
-    "V 2\n"
-    "1\t3\t6\t100\t101\t512\t0\n"
-    "1\t2\t1\t102\t103\t2048\t0\n";
-
-TEST(V1ShimTest, ParsesV1Text) {
-  auto log = persist::ParseV1Snapshot(kV1Blob);
-  ASSERT_TRUE(log.ok()) << log.status().ToString();
-  ASSERT_EQ(log.value().entities.size(), 3u);
-  const audit::SystemEntity& proc = log.value().entities.Get(1);
-  EXPECT_EQ(proc.type, audit::EntityType::kProcess);
-  EXPECT_EQ(proc.exename, "curl");
-  EXPECT_EQ(proc.pid, 42);
-  EXPECT_EQ(proc.user, "alice");
-  const audit::SystemEntity& net = log.value().entities.Get(3);
-  EXPECT_EQ(net.type, audit::EntityType::kNetwork);
-  EXPECT_EQ(net.dstip, "93.184.216.34");
-  EXPECT_EQ(net.dstport, 80);
-  ASSERT_EQ(log.value().events.size(), 2u);
-  EXPECT_EQ(log.value().events[0].subject, 1u);
-  EXPECT_EQ(log.value().events[0].object, 3u);
-  EXPECT_EQ(log.value().events[0].object_type, audit::EntityType::kNetwork);
-  EXPECT_EQ(log.value().events[1].op, audit::EventOp::kWrite);
-  EXPECT_EQ(log.value().events[1].amount, 2048);
-}
-
-TEST(V1ShimTest, EscapedStringsSurvive) {
-  const std::string blob =
-      "raptor-snapshot v1\n"
-      "E 2\n"
-      "1\t\t/bin/we\\tird\\\\exe\t1\ta\\nb\t\t0\t\t0\t\t\t\n"
-      "0\t/tmp/tab\\there\t\t0\t\t\t0\t\t0\t\t\t\n"
-      "V 1\n"
-      "1\t2\t1\t0\t0\t0\t0\n";
-  auto log = persist::ParseV1Snapshot(blob);
-  ASSERT_TRUE(log.ok()) << log.status().ToString();
-  EXPECT_EQ(log.value().entities.Get(1).exename, "/bin/we\tird\\exe");
-  EXPECT_EQ(log.value().entities.Get(1).cmd, "a\nb");
-  EXPECT_EQ(log.value().entities.Get(2).name, "/tmp/tab\there");
-}
-
-TEST(V1ShimTest, RejectsGarbage) {
-  EXPECT_FALSE(persist::ParseV1Snapshot("").ok());
-  EXPECT_FALSE(persist::ParseV1Snapshot("not a snapshot").ok());
-  EXPECT_FALSE(persist::ParseV1Snapshot("raptor-snapshot v1\nE 5\n").ok());
-  EXPECT_FALSE(
-      persist::ParseV1Snapshot(
-          "raptor-snapshot v1\nE 0\nV 1\n1\t9\t0\t0\t0\t0\t0\n")
-          .ok());  // event references unknown entity
-}
-
-TEST(V1ShimTest, ImportsIntoFacade) {
-  const std::string path =
-      testing::TempDir() + "/v1_shim_import_test.snap";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.good());
-    out << kV1Blob;
-  }
-  ThreatRaptor tr;
-  ASSERT_TRUE(tr.ImportV1Snapshot(path).ok());
-  EXPECT_EQ(tr.store()->entity_count(), 3u);
-  EXPECT_EQ(tr.store()->event_count(), 2u);
-  auto report = tr.Hunt("proc p[\"%curl%\"] write file f return p, f");
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().results.rows.size(), 1u);
-  std::remove(path.c_str());
-}
 
 TEST(ExplainTest, RendersScheduledPlan) {
   auto explained = engine::ExplainPlanText(

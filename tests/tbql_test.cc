@@ -136,6 +136,27 @@ TEST(TbqlParserTest, ParseErrors) {
   EXPECT_FALSE(ParseTbql("proc p[\"unterminated] read file f return p").ok());
 }
 
+TEST(TbqlParserTest, OutOfRangeNumbersAreParseErrors) {
+  // Numbers that do not fit their field must come back as a parse error,
+  // never as an exception (which aborts the process) or a truncated
+  // value. TBQL has no floating-point literals.
+  const char* kQueries[] = {
+      // Over-long integer timestamp.
+      "proc p read file f from 1 to 99999999999999999999999 return p",
+      // Path bound that fits int64 but not int.
+      "proc p ~>(1~99999999999) file f return p",
+      // Duration whose microsecond value overflows int64.
+      "last 99999999999999999 days proc p read file f return p",
+      "proc p read file f as e1 proc p write file g as e2 "
+      "with e1 before[0-99999999999999999 days] e2 return p",
+  };
+  for (const char* text : kQueries) {
+    auto q = ParseTbql(text);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError) << text;
+  }
+}
+
 TEST(TbqlAnalyzerTest, SubjectMustBeProcess) {
   auto q = ParseTbql("file f read file g return f");
   ASSERT_TRUE(q.ok());

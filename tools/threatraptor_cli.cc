@@ -39,7 +39,7 @@
 // byte offset, so restarting it neither skips nor re-ingests records.
 //
 // Observability (hunt command): --explain-analyze prints each hunt's
-// span-tree profile (per-pattern, per-shard timings and counters) after
+// span-tree profile (per-pattern, per-worker timings and counters) after
 // its results; --profile-json <file> appends the same profile as one JSON
 // line per hunt ("-" prints to stdout). --metrics-export dumps the full
 // telemetry registry (admission, gate, standing/MQO, WAL/checkpoint,
@@ -47,9 +47,6 @@
 // --slow-hunt-ms N [--slow-hunt-log <path>] appends a JSONL record — span
 // tree inlined — for every hunt or standing refresh slower than N ms
 // (default log: slow-hunts.jsonl).
-//
-//   threatraptor import-v1 <in.snap> --data-dir <dir>
-//       One-release shim: ingest a v1 text snapshot into a durable store.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,8 +90,7 @@ int Usage() {
       "  threatraptor catalog list\n"
       "  threatraptor hunt (--log <log.jsonl> | --case <id> | --restore)\n"
       "      --technique <id> [--param name=value ...]\n"
-      "  threatraptor explain --query <tbql>\n"
-      "  threatraptor import-v1 <in.snap> --data-dir <dir>\n");
+      "  threatraptor explain --query <tbql>\n");
   return 2;
 }
 
@@ -779,29 +775,6 @@ int Explain(const std::string& query) {
   return 0;
 }
 
-int ImportV1(const std::string& snap_path, const std::string& data_dir) {
-  persist::DurabilityOptions durability;
-  durability.data_dir = data_dir;
-  auto tr = ThreatRaptor::Open(durability);
-  if (!tr.ok()) {
-    std::fprintf(stderr, "%s\n", tr.status().ToString().c_str());
-    return 1;
-  }
-  if (Status st = tr.value()->ImportV1Snapshot(snap_path); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
-  std::printf("imported %s: store has %zu entities, %zu events\n",
-              snap_path.c_str(), tr.value()->store()->entity_count(),
-              tr.value()->store()->event_count());
-  if (Status st = tr.value()->Close(); !st.ok()) {
-    std::fprintf(stderr, "close failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  std::printf("checkpointed into %s\n", data_dir.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -813,10 +786,6 @@ int main(int argc, char** argv) {
   if (cmd == "gen-log" && argc == 4) return GenLog(argv[2], argv[3]);
   if (cmd == "explain" && argc == 4 && std::strcmp(argv[2], "--query") == 0) {
     return Explain(argv[3]);
-  }
-  if (cmd == "import-v1" && argc == 5 &&
-      std::strcmp(argv[3], "--data-dir") == 0) {
-    return ImportV1(argv[2], argv[4]);
   }
   if (cmd == "catalog" && argc == 3 && std::strcmp(argv[2], "list") == 0) {
     return CatalogList();

@@ -54,6 +54,10 @@ size_t CountAtoms(const AttrExpr& e) {
   return 0;
 }
 
+/// Width of the pattern dataflow (also bounded by the pattern count and
+/// the pool size).
+constexpr size_t kPatternWorkers = 4;
+
 /// Sentinel for an entity slot not yet bound by any joined pattern.
 constexpr long long kUnboundEntity = std::numeric_limits<long long>::min();
 
@@ -183,11 +187,9 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   // ---- Scheduling ----------------------------------------------------------
   std::vector<size_t> order(n_patterns);
   for (size_t i = 0; i < n_patterns; ++i) order[i] = i;
-  if (options.use_scheduler) {
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return PruningScore(aq, a) > PruningScore(aq, b);
-    });
-  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return PruningScore(aq, a) > PruningScore(aq, b);
+  });
   // Dirty-restricted passes force the restricted pattern to execute first,
   // so its (small) match set drives constraint propagation into every
   // dependent pattern instead of the other way around. Applied before the
@@ -221,12 +223,12 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   }
   std::mutex constraints_mu;
   std::vector<std::vector<PatternMatch>> matches(n_patterns);
-  std::vector<std::string> query_texts(n_patterns);
-  if (options.propagate_constraints) {
-    report.pattern_deps = PatternDependencies(aq, order);
-  } else {
-    report.pattern_deps.assign(n_patterns, {});
-  }
+  // Per pattern: its data query, then its existence check if it ran one.
+  std::vector<std::vector<std::string>> query_texts(n_patterns);
+  // Excessive: the pattern's data query finds no event even without any
+  // propagated domain (char, not bool: workers write distinct slots).
+  std::vector<char> excessive(n_patterns, 0);
+  report.pattern_deps = PatternDependencies(aq, order);
 
   auto check_interrupt = [&options]() -> Status {
     if (options.cancel != nullptr &&
@@ -260,7 +262,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
         constraints.emplace(id, std::move(ids));
       } else {
         // Intersect with the previous domain: probe the larger set with
-        // the smaller one (the old path merged two sorted vectors).
+        // the smaller one.
         const EntitySet& small =
             ids.size() < it->second.size() ? ids : it->second;
         const EntitySet& large =
@@ -275,18 +277,74 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     }
   };
 
-  // Compile and execute pattern `idx`. Constrained mode (the DAG
-  // schedules) reads the propagated domains before compiling and
-  // intersects its matched ids back afterwards; unconstrained mode
-  // (speculative execution) does neither — the serial domain replay
-  // below re-applies both post-hoc.
-  auto run_pattern = [&](size_t idx, bool constrained) -> Status {
+  // Run one compiled data query on its backend and append its matches to
+  // `out`.
+  auto run_data_query = [&](const DataQuery& dq, obs::TraceSpan* pspan,
+                            std::vector<PatternMatch>* out) -> Status {
+    if (dq.backend == Backend::kRelational) {
+      obs::Note(pspan, "backend", "relational");
+      sql::SelectOptions sopts = store_->relational().options();
+      sopts.cancel = options.cancel;
+      sopts.deadline = options.deadline;
+      sopts.result_cache = options.sql_result_cache;
+      sopts.trace = pspan;
+      auto rs = store_->relational().QueryBlocks(dq.text, sopts);
+      if (!rs.ok()) return rs.status();
+      out->reserve(rs.value().rows.row_count());
+      auto cursor = rs.value().cursor();
+      while (const sql::Row* row = cursor.Next()) {
+        PatternMatch m;
+        m.event_id = (*row)[0].AsInt();
+        m.subject_id = (*row)[1].AsInt();
+        m.object_id = (*row)[2].AsInt();
+        m.start_time = (*row)[3].AsInt();
+        m.end_time = (*row)[4].AsInt();
+        m.has_event = true;
+        out->push_back(m);
+      }
+      return Status::OK();
+    }
+    obs::Note(pspan, "backend", "graph");
+    graphdb::MatchOptions gopts = store_->graph().options();
+    gopts.cancel = options.cancel;
+    gopts.deadline = options.deadline;
+    gopts.result_cache = options.graph_result_cache;
+    gopts.trace = pspan;
+    auto rs = store_->graph().QueryBlocks(dq.text, gopts);
+    if (!rs.ok()) return rs.status();
+    out->reserve(rs.value().rows.row_count());
+    auto cursor = rs.value().cursor();
+    while (const std::vector<graphdb::Value>* row = cursor.Next()) {
+      PatternMatch m;
+      m.subject_id = (*row)[0].AsInt();
+      m.object_id = (*row)[1].AsInt();
+      if (dq.has_event_columns && row->size() >= 5) {
+        m.event_id = (*row)[2].AsInt();
+        m.start_time = (*row)[3].AsInt();
+        m.end_time = (*row)[4].AsInt();
+        m.has_event = true;
+      }
+      out->push_back(m);
+    }
+    return Status::OK();
+  };
+
+  // Compile pattern `idx` under the propagated domains of its entities,
+  // execute it, and intersect its matched ids back into the domains. A
+  // pattern that matches nothing under a non-empty domain gets one
+  // existence check, its unconstrained query: only a pattern that finds no
+  // event at all is excessive. The check carries no LIMIT: a small one
+  // would pin its scan to one thread (the storage executors fan out only
+  // past parallel_min_limit), and a truly excessive pattern scans
+  // everything either way. Dirty-restricted passes skip the check — they
+  // require every pattern anyway.
+  auto run_pattern = [&](size_t idx) -> Status {
     RAPTOR_RETURN_NOT_OK(check_interrupt());
     auto pattern_start = obs::TraceSpan::Clock::now();
     obs::TraceSpan* pspan =
         obs::Child(options.trace, "pattern[" + std::to_string(idx) + "]");
     EntityConstraints relevant;
-    if (options.propagate_constraints && constrained) {
+    {
       const Pattern& p = query.patterns[idx];
       std::lock_guard<std::mutex> lock(constraints_mu);
       for (const std::string& id : {p.subject.id, p.object.id}) {
@@ -302,131 +360,47 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
         domain_ids += static_cast<int64_t>(ids.size());
       }
       pspan->Set("constraint_domain_ids", domain_ids);
-      pspan->Note("constrained", constrained ? "true" : "false");
     }
     auto dq = CompilePattern(aq, idx, relevant, now);
     if (!dq.ok()) return dq.status();
-    query_texts[idx] = dq.value().text;
-
+    query_texts[idx].push_back(dq.value().text);
     std::vector<PatternMatch>& out = matches[idx];
-    if (dq.value().backend == Backend::kRelational) {
-      obs::Note(pspan, "backend", "relational");
-      sql::SelectOptions sopts = store_->relational().options();
-      sopts.cancel = options.cancel;
-      sopts.deadline = options.deadline;
-      sopts.result_cache = options.sql_result_cache;
-      sopts.trace = pspan;
-      auto rs = store_->relational().QueryBlocks(dq.value().text, sopts);
-      if (!rs.ok()) return rs.status();
-      out.reserve(rs.value().rows.row_count());
-      auto cursor = rs.value().cursor();
-      while (const sql::Row* row = cursor.Next()) {
-        PatternMatch m;
-        m.event_id = (*row)[0].AsInt();
-        m.subject_id = (*row)[1].AsInt();
-        m.object_id = (*row)[2].AsInt();
-        m.start_time = (*row)[3].AsInt();
-        m.end_time = (*row)[4].AsInt();
-        m.has_event = true;
-        out.push_back(m);
-      }
-    } else {
-      obs::Note(pspan, "backend", "graph");
-      graphdb::MatchOptions gopts = store_->graph().options();
-      gopts.cancel = options.cancel;
-      gopts.deadline = options.deadline;
-      gopts.result_cache = options.graph_result_cache;
-      gopts.trace = pspan;
-      auto rs = store_->graph().QueryBlocks(dq.value().text, gopts);
-      if (!rs.ok()) return rs.status();
-      bool has_event = dq.value().has_event_columns;
-      out.reserve(rs.value().rows.row_count());
-      auto cursor = rs.value().cursor();
-      while (const std::vector<graphdb::Value>* row = cursor.Next()) {
-        PatternMatch m;
-        m.subject_id = (*row)[0].AsInt();
-        m.object_id = (*row)[1].AsInt();
-        if (has_event && row->size() >= 5) {
-          m.event_id = (*row)[2].AsInt();
-          m.start_time = (*row)[3].AsInt();
-          m.end_time = (*row)[4].AsInt();
-          m.has_event = true;
-        }
-        out.push_back(m);
-      }
-    }
+    RAPTOR_RETURN_NOT_OK(run_data_query(dq.value(), pspan, &out));
     report.pattern_match_counts[idx] = out.size();
 
-    if (options.propagate_constraints && constrained) {
-      auto prop_start = obs::TraceSpan::Clock::now();
-      propagate_ids(idx);
-      if (pspan != nullptr) {
-        pspan->Set("propagate_us",
-                   std::chrono::duration_cast<std::chrono::microseconds>(
-                       obs::TraceSpan::Clock::now() - prop_start)
-                       .count());
+    if (out.empty()) {
+      excessive[idx] = 1;
+      if (!relevant.empty() && !options.require_all_patterns) {
+        auto unconstrained = CompilePattern(aq, idx, {}, now);
+        if (!unconstrained.ok()) return unconstrained.status();
+        std::vector<PatternMatch> any;
+        RAPTOR_RETURN_NOT_OK(run_data_query(unconstrained.value(), pspan, &any));
+        query_texts[idx].push_back(unconstrained.value().text);
+        excessive[idx] = any.empty() ? 1 : 0;
+        obs::Note(pspan, "existence_check", any.empty() ? "empty" : "found");
       }
     }
+
+    auto prop_start = obs::TraceSpan::Clock::now();
+    propagate_ids(idx);
     if (pspan != nullptr) {
+      pspan->Set("propagate_us",
+                 std::chrono::duration_cast<std::chrono::microseconds>(
+                     obs::TraceSpan::Clock::now() - prop_start)
+                     .count());
       pspan->Set("match_count", static_cast<int64_t>(out.size()));
       pspan->SetWindow(pattern_start, obs::TraceSpan::Clock::now());
     }
     return Status::OK();
   };
 
-  bool parallel_patterns = options.parallel_patterns && n_patterns > 1 &&
-                           options.max_pattern_workers > 1;
-  bool speculative = options.speculative_patterns && parallel_patterns &&
-                     options.propagate_constraints;
-  if (!parallel_patterns) {
-    for (size_t idx : order) RAPTOR_RETURN_NOT_OK(run_pattern(idx, true));
-  } else if (speculative) {
-    // Speculative schedule: every pattern runs unconstrained in parallel
-    // (DAG edges ignored), then a serial replay in scheduler order filters
-    // each pattern's speculative matches by the domains accumulated so far
-    // and intersects the filtered ids back. A propagated constraint only
-    // appends restrictive `id IN (domain)` conjuncts to a data query, so
-    // the replay reproduces the serial schedule's domains, match lists,
-    // and match counts exactly — only the executed query texts differ.
-    std::vector<Status> results(n_patterns, Status::OK());
-    size_t workers = std::min<size_t>(
-        static_cast<size_t>(options.max_pattern_workers), n_patterns);
-    ThreadPool::Shared().ParallelFor(n_patterns, workers, [&](size_t i) {
-      results[i] = run_pattern(order[i], /*constrained=*/false);
-    });
-    for (const Status& st : results) RAPTOR_RETURN_NOT_OK(st);
-    for (size_t idx : order) {
-      const Pattern& p = query.patterns[idx];
-      auto sit = joinable(p.subject.id) ? constraints.find(p.subject.id)
-                                        : constraints.end();
-      auto oit = joinable(p.object.id) ? constraints.find(p.object.id)
-                                       : constraints.end();
-      if (sit != constraints.end() || oit != constraints.end()) {
-        std::vector<PatternMatch> kept;
-        kept.reserve(matches[idx].size());
-        for (const PatternMatch& m : matches[idx]) {
-          if (sit != constraints.end() &&
-              sit->second.count(m.subject_id) == 0) {
-            continue;
-          }
-          if (oit != constraints.end() &&
-              oit->second.count(m.object_id) == 0) {
-            continue;
-          }
-          kept.push_back(m);
-        }
-        matches[idx] = std::move(kept);
-        report.pattern_match_counts[idx] = matches[idx].size();
-      }
-      propagate_ids(idx);
-    }
-  } else {
-    // Dataflow ready-queue over the DAG on the shared pool: workers claim
-    // ready patterns, and each completion unlocks its dependents. The
-    // caller participates (ThreadPool::ParallelFor), so the schedule makes
-    // progress even when every pool helper is busy elsewhere; a worker
-    // only blocks while some other worker is executing a pattern, so the
-    // wait always terminates.
+  // Dataflow ready-queue over the DAG on the shared pool: workers claim
+  // ready patterns, and each completion unlocks its dependents. The caller
+  // participates (ThreadPool::ParallelFor), so the schedule makes progress
+  // even when every pool helper is busy elsewhere — and a one-pattern query
+  // or an empty pool runs inline; a worker only blocks while some other
+  // worker is executing a pattern, so the wait always terminates.
+  {
     std::vector<size_t> indegree(n_patterns, 0);
     std::vector<std::vector<size_t>> dependents(n_patterns);
     for (size_t i = 0; i < n_patterns; ++i) {
@@ -442,8 +416,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     size_t remaining = n_patterns;
     bool failed = false;
     Status first_error;
-    size_t workers = std::min<size_t>(
-        static_cast<size_t>(options.max_pattern_workers), n_patterns);
+    size_t workers = std::min(kPatternWorkers, n_patterns);
     ThreadPool::Shared().ParallelFor(workers, workers, [&](size_t) {
       for (;;) {
         size_t idx;
@@ -456,7 +429,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
           idx = ready.front();
           ready.pop_front();
         }
-        Status st = run_pattern(idx, /*constrained=*/true);
+        Status st = run_pattern(idx);
         {
           std::lock_guard<std::mutex> lock(mu);
           if (!st.ok()) {
@@ -477,7 +450,9 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     if (failed) return first_error;
   }
   for (size_t idx : order) {
-    report.executed_queries.push_back(std::move(query_texts[idx]));
+    for (std::string& text : query_texts[idx]) {
+      report.executed_queries.push_back(std::move(text));
+    }
   }
 
   // Re-filter earlier pattern matches with the final entity domains (later
@@ -487,7 +462,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   // the pass fans out over the shared worker pool once there is enough
   // work to amortize dispatch (typical hunts filter a few dozen matches,
   // which stay on the inline path).
-  if (options.propagate_constraints) {
+  {
     obs::ScopedSpan refilter_span(options.trace, "refilter");
     size_t total_matches = 0;
     for (const auto& m : matches) total_matches += m.size();
@@ -533,25 +508,30 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     entity_slots.Intern(p.object.id);
   }
 
+  // Only excessive patterns leave the join. A pattern that propagation or
+  // refilter emptied still belongs to it, so its emptiness empties the
+  // result rather than being skipped — skipping it would fabricate rows
+  // that depend on the pattern order. Dirty-restricted passes demand every
+  // pattern contributes: under a restricted domain an empty pattern means
+  // "no new contribution".
   std::vector<size_t> join_order;
+  bool empty_result = false;
   for (size_t i = 0; i < n_patterns; ++i) {
-    if (matches[i].empty()) {
+    if (excessive[i]) {
       report.unmatched_patterns.push_back(i);
+    } else if (matches[i].empty()) {
+      empty_result = true;
     } else {
       join_order.push_back(i);
     }
   }
+  if (options.require_all_patterns && !report.unmatched_patterns.empty()) {
+    empty_result = true;
+  }
+  if (empty_result) join_order.clear();
   std::sort(join_order.begin(), join_order.end(), [&](size_t a, size_t b) {
     return matches[a].size() < matches[b].size();
   });
-  // Dirty-restricted passes must not reinterpret "pattern found nothing
-  // under the restricted domain" as "pattern is excessive, exclude it from
-  // the join" — that would fabricate rows the unrestricted query never
-  // produces. Such passes demand every pattern contributes or the pass
-  // result is empty.
-  if (options.require_all_patterns && !report.unmatched_patterns.empty()) {
-    join_order.clear();
-  }
 
   std::vector<Assignment> assignments;
   // Seed with the empty assignment only when at least one pattern matched;
@@ -603,9 +583,37 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     if (pit == aq.pattern_by_id.end()) return nullptr;
     return a.events[pit->second];
   };
+  // A network entity is not joined across patterns, so its attributes come
+  // from the first pattern in query order that is in the join and names it.
   auto entity_of = [&](const Assignment& a, const std::string& id) {
     uint32_t slot = entity_slots.Lookup(id);
-    return slot == kNoSymbol ? kUnboundEntity : a.entities[slot];
+    if (slot == kNoSymbol) return kUnboundEntity;
+    if (joinable(id)) return a.entities[slot];
+    for (size_t i = 0; i < n_patterns; ++i) {
+      const PatternMatch* m = a.events[i];
+      if (m == nullptr) continue;
+      if (query.patterns[i].subject.id == id) return m->subject_id;
+      if (query.patterns[i].object.id == id) return m->object_id;
+    }
+    return kUnboundEntity;
+  };
+  // Attribute `attr` of entity or event pattern `id` under assignment `a`
+  // ("" when every pattern naming it is excessive, or for a path's event).
+  auto attribute = [&](const Assignment& a, const std::string& id,
+                       const std::string& attr) -> std::string {
+    long long ent = entity_of(a, id);
+    if (ent != kUnboundEntity) {
+      return store_->entities()[ent - 1].Attribute(attr);
+    }
+    const PatternMatch* m = event_of(a, id);
+    if (m == nullptr || !m->has_event) return "";
+    if (attr == "id") return std::to_string(m->event_id);
+    if (attr == "start_time") return std::to_string(m->start_time);
+    if (attr == "end_time") return std::to_string(m->end_time);
+    const audit::SystemEvent& ev = store_->EventById(m->event_id);
+    if (attr == "amount") return std::to_string(ev.amount);
+    if (attr == "failure_code") return std::to_string(ev.failure_code);
+    return audit::EventOpName(ev.op);
   };
   std::vector<Assignment> satisfying;
   for (Assignment& a : assignments) {
@@ -645,26 +653,8 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     }
     if (!ok) continue;
     for (const tbql::AttrRel& rel : query.attr_rels) {
-      auto attr_value = [&](const std::string& qual,
-                            const std::string& attr) -> std::string {
-        long long ent = entity_of(a, qual);
-        if (ent != kUnboundEntity) {
-          return store_->entities()[ent - 1].Attribute(attr);
-        }
-        const PatternMatch* m = event_of(a, qual);
-        if (m != nullptr) {
-          if (attr == "id") return std::to_string(m->event_id);
-          if (attr == "start_time") return std::to_string(m->start_time);
-          if (attr == "end_time") return std::to_string(m->end_time);
-          const audit::SystemEvent& ev = store_->EventById(m->event_id);
-          if (attr == "amount") return std::to_string(ev.amount);
-          if (attr == "failure_code") return std::to_string(ev.failure_code);
-          if (attr == "op") return audit::EventOpName(ev.op);
-        }
-        return "";
-      };
-      std::string lv = attr_value(rel.left_qualifier, rel.left_attr);
-      std::string rv = attr_value(rel.right_qualifier, rel.right_attr);
+      std::string lv = attribute(a, rel.left_qualifier, rel.left_attr);
+      std::string rv = attribute(a, rel.right_qualifier, rel.right_attr);
       long long ln = 0, rn = 0;
       int cmp;
       if (ParseInt64(lv, &ln) && ParseInt64(rv, &rn)) {
@@ -691,7 +681,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   }
 
   // Events found by the event patterns (for evaluation): union of the
-  // per-pattern matches that survived constraint propagation.
+  // per-pattern matches that survived constraint propagation and refilter.
   std::set<long long> matched_events;
   for (size_t i = 0; i < n_patterns; ++i) {
     for (const PatternMatch& m : matches[i]) {
@@ -709,34 +699,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     std::vector<std::string> row;
     row.reserve(aq.returns.size());
     for (const tbql::ResolvedReturn& r : aq.returns) {
-      if (r.is_event) {
-        const PatternMatch* m = event_of(a, r.id);
-        if (m == nullptr) {
-          row.push_back("");
-          continue;
-        }
-        if (r.attr == "id") {
-          row.push_back(std::to_string(m->event_id));
-        } else if (r.attr == "start_time") {
-          row.push_back(std::to_string(m->start_time));
-        } else if (r.attr == "end_time") {
-          row.push_back(std::to_string(m->end_time));
-        } else {
-          const audit::SystemEvent& ev = store_->EventById(m->event_id);
-          if (r.attr == "amount") {
-            row.push_back(std::to_string(ev.amount));
-          } else if (r.attr == "failure_code") {
-            row.push_back(std::to_string(ev.failure_code));
-          } else {
-            row.push_back(audit::EventOpName(ev.op));
-          }
-        }
-      } else {
-        long long ent = entity_of(a, r.id);
-        row.push_back(ent == kUnboundEntity
-                          ? ""
-                          : store_->entities()[ent - 1].Attribute(r.attr));
-      }
+      row.push_back(attribute(a, r.id, r.attr));
     }
     if (query.distinct && !seen.insert(row).second) continue;
     report.results.rows.push_back(std::move(row));

@@ -13,19 +13,23 @@
 // weaving many joins and non-equi temporal constraints together, which is
 // what Table VIII measures.
 //
-// Pattern execution is DAG-scheduled: patterns that share a joinable
-// entity id are chained in scheduler order (constraint propagation needs
-// the predecessor's matched ids), while independent patterns carry no edge
-// and execute concurrently on the shared worker pool through a dataflow
-// ready queue. Because dependencies serialize exactly the pattern pairs
-// that interact through the constraint domains, the concurrent schedule
-// produces byte-identical reports to the serial one. Speculative mode
-// (ExecOptions::speculative_patterns) drops even those edges: dependent
-// patterns run unconstrained in parallel and a serial replay re-validates
-// the domains post-hoc, preserving result identity at the cost of
-// potentially wasted scan work. Cooperative cancellation and deadlines
-// (HuntService tickets) are polled at pattern boundaries and inside the
-// storage executors' scan loops.
+// Pattern execution has one path, DAG-scheduled: patterns sharing a
+// joinable entity id chain in scheduler order (propagation needs the
+// predecessor's ids); independent patterns run concurrently on the shared
+// pool through a dataflow ready queue (inline for one pattern or an empty
+// pool). Cancellation and deadlines are polled at pattern boundaries and
+// inside the storage executors' scan loops.
+//
+// A pattern is excessive (left out of the join, the paper's tolerance for
+// synthesized patterns that retrieve nothing) only when its data query,
+// run with no propagated domain, returns no event: a pattern that matches
+// nothing under a non-empty domain gets one existence check (its
+// unconstrained query, listed in executed_queries), and a pattern emptied
+// by propagation or refilter empties the result. The rows therefore never depend on the
+// pattern order; tests/fixtures/tbql_oracle.h checks them by nested-loop
+// joining the unconstrained per-pattern lists from brute-force SQL/Cypher
+// oracles, sharing nothing with the scheduler, propagation, the DAG,
+// refilter or the hash join.
 #pragma once
 
 #include <atomic>
@@ -47,30 +51,6 @@ class TraceSpan;
 namespace raptor::engine {
 
 struct ExecOptions {
-  /// Schedule patterns by pruning score (false: textual order).
-  bool use_scheduler = true;
-  /// Propagate matched entity ids into dependent data queries.
-  bool propagate_constraints = true;
-  /// Execute independent patterns (no constraint-propagation edge between
-  /// them) concurrently on the shared worker pool. false: strictly
-  /// sequential in scheduler order (the differential baseline).
-  bool parallel_patterns = true;
-  /// Speculative pattern execution: ignore the constraint-propagation DAG
-  /// and run every pattern unconstrained in parallel — including pairs
-  /// that share an entity id — then replay the scheduler order serially,
-  /// filtering each pattern's speculative matches by the accumulated
-  /// domains and intersecting the filtered ids back. Because a propagated
-  /// constraint only appends restrictive `id IN (domain)` conjuncts to a
-  /// pattern's data query, the replay reproduces the serial schedule's
-  /// domains and match lists exactly: results are byte-identical, only
-  /// ExecReport::executed_queries shows the unconstrained texts. Wins
-  /// wall-clock when the DAG's critical path dominates; wastes work when
-  /// propagation would have pruned a dependent pattern's scan. Requires
-  /// parallel_patterns and propagate_constraints (no-op otherwise).
-  bool speculative_patterns = false;
-  /// Concurrency cap for the pattern dataflow (the effective width is also
-  /// bounded by the pattern count and the pool size).
-  int max_pattern_workers = 4;
   /// Cooperative cancellation: polled at pattern boundaries, join levels,
   /// and inside the storage executors' scan loops. When set mid-query the
   /// hunt returns Status::Cancelled. Must outlive the call.
@@ -86,9 +66,10 @@ struct ExecOptions {
   const EntityConstraints* initial_constraints = nullptr;
   /// Require every pattern to match: when any pattern matches nothing,
   /// return an empty result instead of excluding it from the join (the
-  /// paper's excessive-pattern tolerance). Dirty-restricted passes need
-  /// this — under a restricted domain an empty pattern means "no new
-  /// contribution", not "pattern is excessive".
+  /// paper's excessive-pattern tolerance), and skip the existence checks.
+  /// Dirty-restricted passes need this — under a restricted domain an
+  /// empty pattern means "no new contribution", not "pattern is
+  /// excessive".
   bool require_all_patterns = false;
   /// When >= 0, move this pattern index to the front of the execution
   /// order so its (restricted) matches drive constraint propagation into
@@ -118,26 +99,27 @@ struct TbqlResultSet {
 
 struct ExecReport {
   TbqlResultSet results;
-  /// Data query texts in the order they were executed.
+  /// Data query texts in scheduler order (an existence check follows its
+  /// pattern's query).
   std::vector<std::string> executed_queries;
   /// Per-pattern match counts, indexed by pattern position.
   std::vector<size_t> pattern_match_counts;
-  /// Patterns that matched nothing (excluded from the join; the paper's
-  /// synthesized queries may contain excessive patterns that retrieve no
-  /// events, which must not empty the whole result).
+  /// Excessive patterns, excluded from the join: their data query finds no
+  /// event even without propagated domains (the paper's synthesized
+  /// queries may contain such patterns, which must not empty the whole
+  /// result). Under require_all_patterns: the patterns that matched
+  /// nothing under the restricted domains.
   std::vector<size_t> unmatched_patterns;
   double seconds = 0;
-  /// All events matched by event patterns (deduplicated, for evaluation).
+  /// All events matched by event patterns that survived constraint
+  /// propagation and refilter (deduplicated, for evaluation).
   std::vector<long long> matched_event_ids;
   /// Constraint-propagation DAG the scheduler ran: pattern_deps[i] lists
-  /// the pattern indices that had to execute before pattern i (empty lists
-  /// throughout when constraint propagation is off — every pattern is
-  /// independent then).
+  /// the pattern indices that had to execute before pattern i.
   std::vector<std::vector<size_t>> pattern_deps;
 };
 
-/// Pruning score of pattern `idx` (exposed for tests and the ablation
-/// bench): declared constraint count, plus a bonus shrinking with the
+/// Pruning score of pattern `idx` (exposed for tests): declared constraint count, plus a bonus shrinking with the
 /// maximum path length.
 double PruningScore(const tbql::AnalyzedQuery& aq, size_t idx);
 

@@ -1437,8 +1437,6 @@ bool HuntService::TryIncrementalTbql(
     pass.exec.initial_constraints = &constraints;
     pass.exec.force_first_pattern = static_cast<int>(k);
     pass.exec.require_all_patterns = true;
-    pass.exec.propagate_constraints = true;  // the passes' whole point
-    pass.exec.speculative_patterns = false;  // would bypass the domains
     obs::TraceSpan* pass_span =
         obs::Child(trace, "incremental_pass[" + std::to_string(k) + "]");
     obs::Set(pass_span, "dirty_entities",

@@ -127,9 +127,10 @@ struct HuntRequest {
   /// HuntResponse::profile. Off (the default) costs one branch per hunt;
   /// result rows are byte-identical either way.
   bool profile = false;
-  /// TBQL execution options. The service owns `cancel` and `deadline`
-  /// (they are overwritten from the ticket); the scheduling toggles pass
-  /// through.
+  /// TBQL execution options. The service owns `cancel`, `deadline` and
+  /// `trace` (overwritten per hunt) and the MQO result caches (set when
+  /// mqo_shared_subresults is on). The rest pass through; the service sets
+  /// them itself for incremental standing passes.
   engine::ExecOptions exec;
 };
 

@@ -154,6 +154,10 @@ Result<std::vector<Token>> Lex(std::string_view text) {
     if (!_st.ok()) return _st;                \
   } while (0)
 
+/// Deepest nesting of NOT and parentheses in an expression; covers any
+/// filter the TBQL compiler emits.
+constexpr int kMaxNestingDepth = 512;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -232,6 +236,19 @@ class Parser {
     }
     return Status::OK();
   }
+
+  /// Run the recursive rule `parse` one nesting level deeper. Past
+  /// kMaxNestingDepth levels the parser fails instead of recursing, so
+  /// hostile query text cannot exhaust the stack.
+  template <class Rule>
+  auto Nested(Rule&& parse) -> decltype(parse()) {
+    if (depth_ >= kMaxNestingDepth) return Err("nesting too deep");
+    ++depth_;
+    auto result = parse();
+    --depth_;
+    return result;
+  }
+
   Status Err(std::string msg) const {
     return Status::ParseError(
         StrFormat("%s (at offset %zu)", msg.c_str(), Peek().pos));
@@ -385,7 +402,7 @@ class Parser {
 
   Result<std::unique_ptr<CypherExpr>> ParseNot() {
     if (AcceptKeyword("NOT")) {
-      auto inner = ParseNot();
+      auto inner = Nested([&] { return ParseNot(); });
       if (!inner.ok()) return inner.status();
       auto e = std::make_unique<CypherExpr>();
       e->kind = CypherExprKind::kNot;
@@ -498,7 +515,7 @@ class Parser {
     }
     if (tok.kind == Tok::kSymbol && tok.text == "(") {
       Next();
-      auto inner = ParseExpr();
+      auto inner = Nested([&] { return ParseExpr(); });
       if (!inner.ok()) return inner.status();
       CYPHER_RETURN_NOT_OK(ExpectSymbol(")"));
       return std::move(inner).value();
@@ -513,6 +530,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current expression nesting (Nested)
 };
 
 #undef CYPHER_RETURN_NOT_OK

@@ -902,7 +902,10 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
   std::vector<RowId> lazy0_seed;
   bool lazy0 = false;
   bool lazy0_scan_all = false;
-  for (size_t a = 0; a < n_aliases; ++a) {
+  // Every join is inner, so an alias left with no candidate row empties the
+  // result: the remaining aliases and the pipeline are skipped.
+  bool empty_input = false;
+  for (size_t a = 0; a < n_aliases && !empty_input; ++a) {
     const Table* table = tables[a];
     // Index selection: rank every probe-able equality / IN conjunct on
     // this alias by its aggregate per-shard cardinality (Table::ProbeCount,
@@ -1027,6 +1030,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       }
       if (pass) out.push_back(rid);
     }
+    empty_input = out.empty();
   }
 
   // --- Join planning (left-deep, FROM order) --------------------------------
@@ -1137,7 +1141,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       scan_size >= static_cast<size_t>(std::max(0, options.parallel_min_rows)) &&
       !(early_limit &&
         stmt.limit < static_cast<long long>(options.parallel_min_limit));
-  if (!(early_limit && stmt.limit == 0)) {
+  if (!(early_limit && stmt.limit == 0) && !empty_input) {
     if (!parallel) {
       storage::WorkerRows serial_rs;
       TuplePipeline pipeline(stmt, binder, eval, levels, candidates, projected,

@@ -6,7 +6,7 @@
 //    equi-join predicates, and residual (cross-pattern) predicates;
 //  * base tables are filtered first, through the cheapest hash-index
 //    equality / IN probe where one exists (ranked by exact per-shard
-//    cardinality);
+//    cardinality); a table left empty ends the query (joins are inner);
 //  * single-table filters of the shape `col op literal` / `col IN (...)`
 //    compile against the table's frozen columnar storage (table.h /
 //    storage/columnar.h): int comparisons read the SoA int vector

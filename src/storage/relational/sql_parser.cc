@@ -138,6 +138,10 @@ namespace {
     if (!_st.ok()) return _st;                \
   } while (0)
 
+/// Deepest nesting of NOT and parentheses in an expression; covers any
+/// filter the TBQL compiler emits.
+constexpr int kMaxNestingDepth = 512;
+
 /// Recursive-descent parser over the token stream.
 class Parser {
  public:
@@ -254,6 +258,19 @@ class Parser {
     }
     return Status::OK();
   }
+
+  /// Run the recursive rule `parse` one nesting level deeper. Past
+  /// kMaxNestingDepth levels the parser fails instead of recursing, so
+  /// hostile query text cannot exhaust the stack.
+  template <class Rule>
+  auto Nested(Rule&& parse) -> decltype(parse()) {
+    if (depth_ >= kMaxNestingDepth) return Err("nesting too deep");
+    ++depth_;
+    auto result = parse();
+    --depth_;
+    return result;
+  }
+
   Status Err(std::string msg) const {
     return Status::ParseError(
         StrFormat("%s (at offset %zu)", msg.c_str(), Peek().pos));
@@ -296,7 +313,7 @@ class Parser {
 
   Result<std::unique_ptr<Expr>> ParseNot() {
     if (AcceptKeyword("NOT")) {
-      auto inner = ParseNot();
+      auto inner = Nested([&] { return ParseNot(); });
       if (!inner.ok()) return inner.status();
       return Expr::MakeNot(std::move(inner).value());
     }
@@ -415,7 +432,7 @@ class Parser {
       case TokenKind::kSymbol:
         if (tok.text == "(") {
           Next();
-          auto inner = ParseExpr();
+          auto inner = Nested([&] { return ParseExpr(); });
           if (!inner.ok()) return inner.status();
           RAPTOR_RETURN_NOT_OK_R(ExpectSymbol(")"));
           return std::move(inner).value();
@@ -431,6 +448,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current expression nesting (Nested)
 };
 
 }  // namespace

@@ -170,6 +170,11 @@ Result<std::vector<Token>> Lex(std::string_view text) {
     if (!_st.ok()) return _st;                \
   } while (0)
 
+/// Deepest nesting of '!' and parentheses in attribute and operation
+/// expressions. A compiled filter nests at most about twice as deep in
+/// SQL or Cypher, within those parsers' caps.
+constexpr int kMaxNestingDepth = 200;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -272,6 +277,19 @@ class Parser {
     }
     return Status::OK();
   }
+
+  /// Run the recursive rule `parse` one nesting level deeper. Past
+  /// kMaxNestingDepth levels the parser fails instead of recursing, so
+  /// hostile query text cannot exhaust the stack.
+  template <class Rule>
+  auto Nested(Rule&& parse) -> decltype(parse()) {
+    if (depth_ >= kMaxNestingDepth) return Err("nesting too deep");
+    ++depth_;
+    auto result = parse();
+    --depth_;
+    return result;
+  }
+
   Status Err(std::string msg) const {
     return Status::ParseError(
         StrFormat("%s (at offset %zu)", msg.c_str(), Peek().pos));
@@ -369,7 +387,7 @@ class Parser {
         e->value = Next().text;
         return std::unique_ptr<AttrExpr>(std::move(e));
       }
-      auto inner = ParseAttrUnary();
+      auto inner = Nested([&] { return ParseAttrUnary(); });
       if (!inner.ok()) return inner.status();
       auto e = std::make_unique<AttrExpr>();
       e->kind = AttrExprKind::kNot;
@@ -381,7 +399,7 @@ class Parser {
 
   Result<std::unique_ptr<AttrExpr>> ParseAttrPrimary() {
     if (AcceptSymbol("(")) {
-      auto inner = ParseAttrExpr();
+      auto inner = Nested([&] { return ParseAttrExpr(); });
       if (!inner.ok()) return inner.status();
       TBQL_RETURN_NOT_OK(ExpectSymbol(")"));
       return std::move(inner).value();
@@ -485,7 +503,7 @@ class Parser {
 
   Result<std::unique_ptr<OpExpr>> ParseOpUnary() {
     if (AcceptSymbol("!")) {
-      auto inner = ParseOpUnary();
+      auto inner = Nested([&] { return ParseOpUnary(); });
       if (!inner.ok()) return inner.status();
       auto e = std::make_unique<OpExpr>();
       e->kind = OpExprKind::kNot;
@@ -493,7 +511,7 @@ class Parser {
       return std::unique_ptr<OpExpr>(std::move(e));
     }
     if (AcceptSymbol("(")) {
-      auto inner = ParseOpExpr();
+      auto inner = Nested([&] { return ParseOpExpr(); });
       if (!inner.ok()) return inner.status();
       TBQL_RETURN_NOT_OK(ExpectSymbol(")"));
       return std::move(inner).value();
@@ -700,6 +718,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current expression nesting (Nested)
 };
 
 #undef TBQL_RETURN_NOT_OK

@@ -321,13 +321,7 @@ Result<service::HuntResponse> ThreatRaptor::HuntTechnique(
   huntlib::HuntLibrary library;
   auto spec = library.FromTechnique(technique_id, params);
   if (!spec.ok()) return spec.status();
-  service::HuntRequest request = std::move(spec).value().request;
-  // One-shot catalog hunts honor the facade's execution options; the
-  // dialect and text come from the technique template.
-  if (request.dialect == service::QueryDialect::kTbql) {
-    request.exec = options_.execution;
-  }
-  return Service().Run(std::move(request));
+  return Service().Run(std::move(spec).value().request);
 }
 
 }  // namespace raptor

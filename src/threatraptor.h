@@ -48,7 +48,6 @@ struct ThreatRaptorOptions {
   storage::StoreOptions store;
   extraction::ExtractionOptions extraction;
   synthesis::SynthesisOptions synthesis;
-  engine::ExecOptions execution;
   service::HuntServiceOptions service;
 };
 
@@ -155,7 +154,6 @@ class ThreatRaptor {
     service::HuntRequest request;
     request.text = std::string(tbql_text);
     request.dialect = service::QueryDialect::kTbql;
-    request.exec = options_.execution;
     auto response = Service().Run(std::move(request));
     if (!response.ok()) return response.status();
     return std::move(response).value().report;
@@ -167,7 +165,7 @@ class ThreatRaptor {
   Result<engine::ExecReport> Hunt(const tbql::TbqlQuery& query) const {
     RAPTOR_RETURN_NOT_OK(RequireStore());
     engine::TbqlExecutor executor(store_.get());
-    return executor.Execute(query, options_.execution);
+    return executor.Execute(query);
   }
 
   /// The asynchronous hunt service over this store (created on first use;

@@ -36,18 +36,25 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "audit/parser.h"
+#include "cases/cases.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "storage/graphdb/cypher_executor.h"
 #include "storage/graphdb/cypher_parser.h"
 #include "storage/relational/database.h"
 #include "storage/relational/sql_parser.h"
+#include "synthesis/synthesizer.h"
+#include "threatraptor.h"
 #include "tests/fixtures/cypher_oracle.h"
 #include "tests/fixtures/sql_oracle.h"
 #include "tests/fixtures/synthetic_graph.h"
+#include "tests/fixtures/tbql_oracle.h"
 
 namespace raptor {
 namespace {
@@ -648,6 +655,473 @@ TEST_P(SqlDifferentialTest, SerialAndMorselMatchOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlDifferentialTest,
                          ::testing::Values(0u, 1u, 2u, 3u, 4u, 5u));
+
+// ----------------------------------------------------------------- TBQL
+
+/// Counts across a batch of TBQL checks: queries that returned rows, and
+/// the two shapes the excessive-pattern rule must get right — a
+/// non-excessive pattern emptied by propagation (its existence check finds
+/// events) or by refilter.
+struct TbqlTally {
+  size_t queries = 0;
+  size_t with_rows = 0;
+  size_t emptied_by_propagation = 0;
+  size_t emptied_by_refilter = 0;
+};
+
+std::vector<std::string> RenderTbqlRows(
+    const std::vector<std::vector<std::string>>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const auto& row : rows) out.push_back(Join(row, "\x1f"));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Check one engine report for `query` against the TBQL oracle on `store`:
+/// the row multiset and the excessive patterns must be equal, and when
+/// rows exist the matched events must lie between the oracle's bounds.
+void CheckTbql(fixtures::TbqlOracle& oracle, const tbql::TbqlQuery& query,
+               const engine::ExecReport& report, TbqlTally* tally) {
+  std::string where = query.ToString();
+  auto answer = oracle.Run(query);
+  ASSERT_TRUE(answer.ok()) << where << " -> " << answer.status().ToString();
+  const fixtures::TbqlOracle::Answer& want = answer.value();
+  EXPECT_EQ(RenderTbqlRows(report.results.rows), RenderTbqlRows(want.rows))
+      << where;
+  EXPECT_EQ(report.unmatched_patterns, want.unmatched_patterns) << where;
+  std::set<long long> got(report.matched_event_ids.begin(),
+                          report.matched_event_ids.end());
+  if (!want.rows.empty()) {
+    for (long long ev : want.row_events) {
+      EXPECT_TRUE(got.count(ev)) << where << ": row event " << ev;
+    }
+    for (long long ev : got) {
+      EXPECT_TRUE(want.consistent_events.count(ev))
+          << where << ": matched event " << ev
+          << " has an entity no other pattern matched";
+    }
+  }
+  ++tally->queries;
+  if (!want.rows.empty()) ++tally->with_rows;
+  for (size_t i = 0; i < query.patterns.size(); ++i) {
+    if (std::count(want.unmatched_patterns.begin(),
+                    want.unmatched_patterns.end(), i) != 0) {
+      continue;
+    }
+    if (report.pattern_match_counts[i] == 0) {
+      ++tally->emptied_by_propagation;
+    } else if (i < want.pattern_events.size() &&
+               !want.pattern_events[i].empty() &&
+               std::none_of(want.pattern_events[i].begin(),
+                            want.pattern_events[i].end(),
+                            [&](long long ev) { return got.count(ev); })) {
+      ++tally->emptied_by_refilter;
+    }
+  }
+}
+
+/// Execute `text` on `store` with the engine and check it.
+void CheckTbqlText(const storage::AuditStore& store,
+                   fixtures::TbqlOracle& oracle, const std::string& text,
+                   TbqlTally* tally) {
+  auto query = tbql::ParseTbql(text);
+  ASSERT_TRUE(query.ok()) << text << " -> " << query.status().ToString();
+  auto report = engine::TbqlExecutor(&store).Execute(query.value());
+  ASSERT_TRUE(report.ok()) << text << " -> " << report.status().ToString();
+  CheckTbql(oracle, query.value(), report.value(), tally);
+}
+
+audit::SyscallRecord TbqlRec(audit::Timestamp ts, const char* syscall,
+                             const char* exe, long long pid,
+                             const char* path) {
+  audit::SyscallRecord r;
+  r.ts = ts;
+  r.duration = 10;
+  r.syscall = syscall;
+  r.exe = exe;
+  r.pid = pid;
+  r.path = path;
+  r.ret = 100;
+  return r;
+}
+
+std::unique_ptr<storage::AuditStore> StoreFromRecords(
+    const std::vector<audit::SyscallRecord>& recs) {
+  audit::ParsedLog log;
+  audit::AuditLogParser parser;
+  EXPECT_TRUE(parser.Parse(recs, &log).ok());
+  auto store = std::make_unique<storage::AuditStore>();
+  EXPECT_TRUE(store->Load(log).ok());
+  return store;
+}
+
+/// The engine suite's chain: bash starts tar, tar reads /etc/passwd and
+/// writes /tmp/out.tar, scp sends to 9.9.9.9, vim reads a decoy file.
+std::unique_ptr<storage::AuditStore> ChainStore() {
+  std::vector<audit::SyscallRecord> recs = {
+      TbqlRec(2'000'000, "read", "/bin/tar", 11, "/etc/passwd"),
+      TbqlRec(4'000'000, "write", "/bin/tar", 11, "/tmp/out.tar"),
+      TbqlRec(3'000'000, "read", "/usr/bin/vim", 13, "/home/user/notes.txt"),
+  };
+  audit::SyscallRecord start = TbqlRec(1'000'000, "execve", "/bin/bash", 10,
+                                       "");
+  start.target_exe = "/bin/tar";
+  start.target_pid = 11;
+  recs.push_back(start);
+  audit::SyscallRecord send = TbqlRec(6'000'000, "sendto", "/usr/bin/scp", 12,
+                                      "");
+  send.src_ip = "10.0.0.5";
+  send.src_port = 40000;
+  send.dst_ip = "9.9.9.9";
+  send.dst_port = 22;
+  send.protocol = "tcp";
+  send.ret = 4096;
+  recs.push_back(send);
+  return StoreFromRecords(recs);
+}
+
+/// A case's log with a tiny benign workload, small enough for the
+/// brute-force oracles.
+std::unique_ptr<ThreatRaptor> SmallCase(const cases::AttackCase& c) {
+  cases::AttackCase small = c;
+  small.benign.num_processes = 2;
+  small.benign.mean_records_per_process = 3;
+  auto tr = std::make_unique<ThreatRaptor>();
+  EXPECT_TRUE(tr->IngestSyscalls(cases::BuildCaseLog(small)).ok());
+  return tr;
+}
+
+TEST(TbqlDifferentialTest, HandWrittenQueriesMatchOracle) {
+  TbqlTally tally;
+  auto chain = ChainStore();
+  fixtures::TbqlOracle chain_oracle(*chain);
+  for (const char* q : {
+           "proc p[\"%tar%\"] read file f[\"%passwd%\"] return p, f",
+           "proc p read file f[\"%passwd%\"] as e1 "
+           "proc p write file g[\"%out%\"] as e2 "
+           "with e1 before e2 return distinct p, f, g",
+           "proc p read file f[\"%passwd%\"] as e1 "
+           "proc p write file g as e2 with e2 before e1 return p, g",
+           "proc p read file f[\"%passwd%\"] as e1 proc p write file g as e2 "
+           "with e1 before[0-5 sec] e2 return p",
+           "proc p read file f[\"%passwd%\"] as e1 proc p write file g as e2 "
+           "with e2 within[0-3 sec] e1 return p, e1.amount, e2.start_time",
+           "proc p read file f[\"%passwd%\"] as e1 proc p write file g as e2 "
+           "with e1 after e2 return p",
+           "proc p read file f[\"%passwd%\"] as e1 "
+           "proc x[\"%nonexistent%\"] write file y[\"%nothing%\"] as e2 "
+           "return p, f, y",
+           "proc p[\"%nonexistent%\"] read file f as e1 "
+           "proc p write file g as e2 return p",
+           "proc p start proc q[\"%tar%\"] as e1 proc q read file f as e2 "
+           "proc q write file g as e3 with e1 before e2, e2 before e3 "
+           "return p, q, f, g",
+           "proc p send ip i[dstport = 22] return p, i.dstip, i.dstport",
+           "proc p read || write file f return p, f",
+           "from 0 to 2500000 proc p read || write file f return p, f",
+           "last 3 sec proc p write file f return p, f",
+           "proc p ->[read] file f[\"%passwd%\"] return p, f",
+           "proc p[\"%bash%\"] ~>(2~2) file f[\"%passwd%\"] return p, f",
+           "proc p read file f as e1 proc q read file g as e2 "
+           "with e1.amount < e2.amount return p, f, q, g",
+           "proc p read file f as e1 proc p write file g as e2 "
+           "proc q send ip i as e3 return p, q",
+       }) {
+    CheckTbqlText(*chain, chain_oracle, q, &tally);
+  }
+
+  // Repro shapes: a pattern emptied by propagation (bash reads passwd but
+  // only vim writes), and a pattern emptied by refilter (p1 never read f2).
+  auto propagated = StoreFromRecords({
+      TbqlRec(1'000'000, "read", "/bin/bash", 20, "/etc/passwd"),
+      TbqlRec(2'000'000, "write", "/usr/bin/vim", 21, "/tmp/x"),
+  });
+  for (const char* q :
+       {"proc p read file f[\"%passwd%\"] as e1 "
+        "proc p write file g as e2 return p, f, g",
+        "proc p write file g as e2 "
+        "proc p read file f[\"%passwd%\"] as e1 return p, f, g"}) {
+    fixtures::TbqlOracle oracle(*propagated);
+    CheckTbqlText(*propagated, oracle, q, &tally);
+  }
+  auto refiltered = StoreFromRecords({
+      TbqlRec(1'000'000, "read", "/bin/p1", 30, "/data/f1"),
+      TbqlRec(2'000'000, "read", "/bin/p2", 31, "/data/f2"),
+      TbqlRec(3'000'000, "write", "/bin/p1", 30, "/tmp/x"),
+      TbqlRec(4'000'000, "read", "/bin/cat", 32, "/data/f2"),
+  });
+  fixtures::TbqlOracle refiltered_oracle(*refiltered);
+  CheckTbqlText(*refiltered, refiltered_oracle,
+                "proc p[\"%p%\"] read file f[\"%f%\"] as e1 "
+                "proc p write file g[\"%x%\"] as e2 "
+                "proc q[\"%cat%\"] read file f as e3 return p, f, g, q",
+                &tally);
+  EXPECT_GE(tally.emptied_by_propagation, 2u);
+  EXPECT_GE(tally.emptied_by_refilter, 1u);
+
+  auto leak = SmallCase(*cases::FindCase("data_leak"));
+  fixtures::TbqlOracle leak_oracle(*leak->store());
+  for (const char* q : {
+           "proc p read file f as e1 proc p write file g as e2 "
+           "with e1 before e2 return distinct p, f, g",
+           "proc p read || write file f return distinct p, f",
+           "proc p start proc q as e1 proc q read file f as e2 "
+           "with e1 before e2 return distinct p, q, f",
+           "proc p ~>(1~3) file f return distinct p, f",
+       }) {
+    CheckTbqlText(*leak->store(), leak_oracle, q, &tally);
+  }
+  EXPECT_GE(tally.with_rows, tally.queries / 2);
+}
+
+TEST(TbqlDifferentialTest, ServiceHuntsMatchOracle) {
+  // Patterns chained through a shared process, and two independent pairs
+  // plus a dependent third, run through HuntService::Run.
+  ThreatRaptorOptions options;
+  options.store.enable_reduction = false;
+  ThreatRaptor tr(options);
+  audit::ParsedLog log;
+  audit::Timestamp ts = 1'000'000;
+  for (int i = 0; i < 6; ++i) {
+    audit::EntityId p =
+        log.entities.InternProcess("/bin/svc" + std::to_string(i), 100 + i);
+    for (int j = 0; j < 10; ++j) {
+      audit::SystemEvent ev;
+      ev.id = log.events.size() + 1;
+      ev.subject = p;
+      ev.object = log.entities.InternFile("/data/d" + std::to_string(i) +
+                                          "_" + std::to_string(j));
+      ev.op = audit::EventOp::kRead;
+      ev.start_time = ts;
+      ev.end_time = ts + 10;
+      ts += 100;
+      log.events.push_back(ev);
+    }
+  }
+  ASSERT_TRUE(tr.IngestParsedLog(log).ok());
+  TbqlTally tally;
+  fixtures::TbqlOracle oracle(*tr.store());
+  for (const char* q : {
+           "proc p read file f[\"%_3%\"] as e1 proc p read file g[\"%_8%\"] "
+           "as e2 with e1 before e2 return distinct p, f, g",
+           "proc a read file x[\"%d2_%\"] as e1 proc b read file y[\"%d5_%\"] "
+           "as e2 proc a read file z[\"%_9%\"] as e3 return distinct a, b, z",
+       }) {
+    service::HuntRequest request;
+    request.text = q;
+    request.dialect = service::QueryDialect::kTbql;
+    auto response = tr.hunt_service()->Run(std::move(request));
+    ASSERT_TRUE(response.ok()) << q << " -> " << response.status().ToString();
+    auto query = tbql::ParseTbql(q);
+    ASSERT_TRUE(query.ok());
+    CheckTbql(oracle, query.value(), response.value().report, &tally);
+  }
+  EXPECT_EQ(tally.with_rows, 2u);
+}
+
+TEST(TbqlDifferentialTest, CaseHuntsMatchOracle) {
+  TbqlTally tally;
+  for (const cases::AttackCase& c : cases::AllCases()) {
+    auto tr = SmallCase(c);
+    auto extraction = tr->ExtractBehaviorGraph(c.oscti_text);
+    ASSERT_TRUE(extraction.ok()) << c.id;
+    auto synthesized =
+        synthesis::QuerySynthesizer().Synthesize(extraction.value().graph);
+    ASSERT_TRUE(synthesized.ok()) << c.id;
+    const tbql::TbqlQuery& query = synthesized.value().query;
+    fixtures::TbqlOracle oracle(*tr->store());
+    for (const tbql::TbqlQuery& q :
+         {tbql::ParseTbql(query.ToString()).value(),
+          engine::ToLength1PathQuery(query)}) {
+      auto report = engine::TbqlExecutor(tr->store()).Execute(q);
+      ASSERT_TRUE(report.ok()) << c.id << ": " << report.status().ToString();
+      CheckTbql(oracle, q, report.value(), &tally);
+    }
+  }
+  EXPECT_GE(tally.with_rows, tally.queries / 2);
+}
+
+/// A small random store: five processes (two share /bin/sh), six files,
+/// network flows to two destinations; random file, start and network
+/// events one second apart with random amounts.
+std::unique_ptr<storage::AuditStore> RandomTbqlStore(Rng& rng) {
+  static const char* kExes[] = {"/bin/sh", "/bin/sh", "/bin/tar",
+                                "/usr/bin/curl", "/tmp/mal"};
+  static const char* kFiles[] = {"/etc/passwd", "/etc/shadow", "/tmp/x",
+                                 "/tmp/out.tar", "/home/u/doc",
+                                 "/var/log/syslog"};
+  static const char* kIps[] = {"1.2.3.4", "5.6.7.8"};
+  audit::ParsedLog log;
+  std::vector<audit::EntityId> procs;
+  for (size_t i = 0; i < 5; ++i) {
+    procs.push_back(log.entities.InternProcess(kExes[i], 100 + i));
+  }
+  std::vector<audit::EntityId> files;
+  for (const char* f : kFiles) files.push_back(log.entities.InternFile(f));
+  for (int k = 0; k < 36; ++k) {
+    audit::SystemEvent ev;
+    ev.id = log.events.size() + 1;
+    ev.subject = procs[rng.Uniform(procs.size())];
+    uint64_t kind = rng.Uniform(10);
+    if (kind < 6) {
+      static const audit::EventOp kFileOps[] = {
+          audit::EventOp::kRead, audit::EventOp::kWrite,
+          audit::EventOp::kExecute};
+      ev.op = PickOf(rng, kFileOps);
+      ev.object = files[rng.Uniform(files.size())];
+      ev.object_type = audit::EntityType::kFile;
+    } else if (kind < 8) {
+      ev.op = audit::EventOp::kStart;
+      ev.object = procs[rng.Uniform(procs.size())];
+      ev.object_type = audit::EntityType::kProcess;
+    } else {
+      static const audit::EventOp kNetOps[] = {audit::EventOp::kConnect,
+                                               audit::EventOp::kSend,
+                                               audit::EventOp::kRecv};
+      ev.op = PickOf(rng, kNetOps);
+      std::string dst = PickOf(rng, kIps);
+      int dport = rng.Chance(0.5) ? 22 : 443;
+      ev.object = log.entities.InternNetwork("10.0.0.1", 40000 + k, dst,
+                                             dport, "tcp");
+      ev.object_type = audit::EntityType::kNetwork;
+    }
+    ev.start_time = (1 + k) * 1'000'000LL + rng.UniformRange(0, 400'000);
+    ev.end_time = ev.start_time + rng.UniformRange(1, 300'000);
+    ev.amount = rng.UniformRange(0, 5000);
+    log.events.push_back(ev);
+  }
+  storage::StoreOptions options;
+  options.enable_reduction = false;
+  auto store = std::make_unique<storage::AuditStore>(options);
+  EXPECT_TRUE(store->Load(log).ok());
+  return store;
+}
+
+/// A random 1-3 pattern TBQL query over RandomTbqlStore's vocabulary.
+/// Entity ids are drawn from small per-type pools, so patterns often share
+/// entities; patterns get event ids e0.. and may carry temporal and
+/// attribute relations.
+std::string RandomTbqlQuery(Rng& rng) {
+  static const char* kProcFilters[] = {"", "", "[\"%sh%\"]", "[\"%tar%\"]",
+                                       "[\"%/bin/%\"]", "[pid = 101]",
+                                       "[\"%curl%\"]", "[!\"%mal%\"]"};
+  static const char* kFileFilters[] = {"", "", "[\"%etc%\"]",
+                                       "[\"%/tmp/%\"]", "[\"%passwd%\"]",
+                                       "[name in (\"/tmp/x\", \"/home/u/doc\")]"};
+  static const char* kIpFilters[] = {"", "[\"1.2.3.4\"]", "[dstport = 22]"};
+  static const char* kFileOps[] = {"read", "write", "execute", "read || write",
+                                   "!read"};
+  static const char* kNetOps[] = {"connect", "send", "recv", "send || recv"};
+  static const char* kProcVars[] = {"p", "p", "q", "r"};
+  static const char* kFileVars[] = {"f", "f", "g"};
+  static const char* kIpVars[] = {"i", "j"};
+  std::vector<std::string> patterns, procs, objects, events;
+  std::set<std::string> filtered;  // each entity id carries one filter
+  auto entity = [&](const char* type, const char* var, const char* filter) {
+    std::string out = std::string(type) + " " + var;
+    if (*filter != '\0' && filtered.insert(var).second) out += filter;
+    return out;
+  };
+  size_t n = 1 + rng.Uniform(3);
+  for (size_t k = 0; k < n; ++k) {
+    const char* subj = PickOf(rng, kProcVars);
+    procs.push_back(subj);
+    std::string text = entity("proc", subj, PickOf(rng, kProcFilters)) + " ";
+    uint64_t kind = rng.Uniform(10);
+    std::string op, obj;
+    if (kind < 6) {
+      op = PickOf(rng, kFileOps);
+      const char* var = PickOf(rng, kFileVars);
+      obj = entity("file", var, PickOf(rng, kFileFilters));
+      objects.push_back(var);
+    } else if (kind < 8) {
+      op = "start";
+      const char* var = PickOf(rng, kProcVars);
+      obj = entity("proc", var, PickOf(rng, kProcFilters));
+      objects.push_back(var);
+    } else {
+      op = PickOf(rng, kNetOps);
+      const char* var = PickOf(rng, kIpVars);
+      obj = entity("ip", var, PickOf(rng, kIpFilters));
+      objects.push_back(var);
+    }
+    uint64_t path = rng.Uniform(10);
+    bool multi_hop = false;
+    if (path == 0) {
+      text += "->[" + op + "] " + obj;
+    } else if (path == 1) {
+      text += "~>(1~2)[" + op + "] " + obj;
+      multi_hop = true;
+    } else {
+      text += op + " " + obj;
+    }
+    std::string id = "e" + std::to_string(k);
+    text += " as " + id;
+    if (!multi_hop) events.push_back(id);
+    patterns.push_back(text);
+  }
+  std::vector<std::string> rels;
+  if (events.size() >= 2 && rng.Chance(0.6)) {
+    static const char* kTemporal[] = {"before", "after", "before[0-10 sec]",
+                                      "within[0-8 sec]", "after[1-20 sec]"};
+    size_t a = rng.Uniform(events.size());
+    size_t b = (a + 1 + rng.Uniform(events.size() - 1)) % events.size();
+    rels.push_back(events[a] + " " + PickOf(rng, kTemporal) + " " +
+                   events[b]);
+  }
+  if (rng.Chance(0.2) && !events.empty()) {
+    static const char* kCmp[] = {"<", ">=", "!="};
+    std::string a = rng.Pick(events);
+    std::string b = rng.Pick(events);
+    rels.push_back(a + ".amount " + PickOf(rng, kCmp) + " " + b + ".amount");
+  } else if (rng.Chance(0.15)) {
+    std::string a = rng.Pick(procs);
+    std::string b = rng.Pick(procs);
+    rels.push_back(a + ".pid <= " + b + ".pid");
+  }
+  std::vector<std::string> returns;
+  std::set<std::string> seen;
+  for (const std::string& v : procs) {
+    if (seen.insert(v).second && (returns.empty() || rng.Chance(0.6))) {
+      returns.push_back(v);
+    }
+  }
+  for (const std::string& v : objects) {
+    if (seen.insert(v).second && rng.Chance(0.6)) returns.push_back(v);
+  }
+  if (!events.empty() && rng.Chance(0.25)) {
+    static const char* kEventAttrs[] = {"", ".amount", ".start_time", ".op"};
+    std::string event = rng.Pick(events);
+    returns.push_back(event + PickOf(rng, kEventAttrs));
+  }
+  std::string window = rng.Chance(0.1) ? "from 0 to 20000000 " : "";
+  std::string with = rels.empty() ? "" : " with " + Join(rels, ", ");
+  return window + Join(patterns, " ") + with + " return " +
+         (rng.Chance(0.5) ? "distinct " : "") + Join(returns, ", ");
+}
+
+TEST(TbqlDifferentialTest, RandomQueriesMatchOracle) {
+  constexpr int kStores = 8;
+  constexpr int kQueriesPerStore = 50;
+  TbqlTally tally;
+  for (int seed = 0; seed < kStores; ++seed) {
+    Rng rng(1000 + seed);
+    auto store = RandomTbqlStore(rng);
+    fixtures::TbqlOracle oracle(*store);
+    for (int k = 0; k < kQueriesPerStore; ++k) {
+      std::string text = RandomTbqlQuery(rng);
+      auto query = tbql::ParseTbql(text);
+      ASSERT_TRUE(query.ok()) << text << " -> " << query.status().ToString();
+      if (!tbql::Analyze(query.value()).ok()) continue;  // e.g. p as proc+file
+      CheckTbqlText(*store, oracle, text, &tally);
+    }
+  }
+  EXPECT_GE(tally.queries, static_cast<size_t>(kStores * kQueriesPerStore / 2));
+  EXPECT_GE(tally.with_rows * 3, tally.queries);
+  EXPECT_GE(tally.emptied_by_propagation, 1u);
+  EXPECT_GE(tally.emptied_by_refilter, 1u);
+}
 
 }  // namespace
 }  // namespace raptor

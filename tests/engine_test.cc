@@ -214,59 +214,97 @@ TEST_F(EngineTest, ZeroMatchPatternDoesNotEmptyResult) {
   EXPECT_EQ(report.results.rows[0][0], "/bin/tar");
 }
 
-TEST_F(EngineTest, AllOptionsCombinationsAgree) {
-  const char* query =
-      "proc p read file f[\"%passwd%\"] as e1 "
-      "proc p write file g[\"%out%\"] as e2 "
-      "with e1 before e2 return distinct p, f, g";
-  auto baseline = Run(query);
-  for (bool sched : {false, true}) {
-    for (bool prop : {false, true}) {
-      for (bool par : {false, true}) {
-        ExecOptions opts;
-        opts.use_scheduler = sched;
-        opts.propagate_constraints = prop;
-        opts.parallel_patterns = par;
-        auto report = Run(query, opts);
-        EXPECT_EQ(report.results.rows, baseline.results.rows)
-            << "sched=" << sched << " prop=" << prop << " par=" << par;
-      }
-    }
+/// Run `query` on a fresh store holding only `recs`.
+ExecReport RunOnRecords(const std::vector<audit::SyscallRecord>& recs,
+                        const char* query) {
+  audit::ParsedLog log;
+  audit::AuditLogParser parser;
+  EXPECT_TRUE(parser.Parse(recs, &log).ok());
+  storage::AuditStore store;
+  EXPECT_TRUE(store.Load(log).ok());
+  TbqlExecutor executor(&store);
+  auto report = executor.ExecuteText(query);
+  EXPECT_TRUE(report.ok()) << query << " -> " << report.status().ToString();
+  return report.ok() ? std::move(report).value() : ExecReport{};
+}
+
+audit::SyscallRecord FileRec(audit::Timestamp ts, const char* syscall,
+                             const char* exe, long long pid,
+                             const char* path) {
+  audit::SyscallRecord r;
+  r.ts = ts;
+  r.duration = 10;
+  r.syscall = syscall;
+  r.exe = exe;
+  r.pid = pid;
+  r.path = path;
+  r.ret = 100;
+  return r;
+}
+
+TEST_F(EngineTest, PatternEmptiedByPropagationIsNotExcessive) {
+  // bash reads passwd but writes nothing; vim writes /tmp/x. The write
+  // pattern matches vim's write unconstrained, so it is not excessive:
+  // under p = {bash} it finds nothing, and the hunt must return nothing
+  // rather than bash's read joined with an empty g.
+  std::vector<audit::SyscallRecord> recs = {
+      FileRec(1'000'000, "read", "/bin/bash", 20, "/etc/passwd"),
+      FileRec(2'000'000, "write", "/usr/bin/vim", 21, "/tmp/x"),
+  };
+  for (const char* query :
+       {"proc p read file f[\"%passwd%\"] as e1 "
+        "proc p write file g as e2 return p, f, g",
+        "proc p write file g as e2 "
+        "proc p read file f[\"%passwd%\"] as e1 return p, f, g"}) {
+    auto report = RunOnRecords(recs, query);
+    EXPECT_TRUE(report.results.rows.empty()) << query;
+    EXPECT_TRUE(report.unmatched_patterns.empty()) << query;
+    // Two data queries plus the emptied pattern's existence check: its
+    // unconstrained query, with no propagated IN filter.
+    ASSERT_EQ(report.executed_queries.size(), 3u) << query;
+    EXPECT_EQ(report.executed_queries[2].find(" IN ("), std::string::npos)
+        << report.executed_queries[2];
   }
 }
 
-TEST_F(EngineTest, SpeculativePatternsMatchSerialSchedule) {
-  // Patterns 0 and 1 share entity p, so the DAG serializes them; the
-  // speculative schedule runs both unconstrained in parallel and replays
-  // the domains post-hoc. Results, match counts, and unmatched-pattern
-  // lists must be byte-identical to the serial schedule — only the
-  // executed query texts may differ (no IN-constraint conjuncts).
-  const char* query =
-      "proc p read file f[\"%passwd%\"] as e1 "
-      "proc p write file g[\"%out%\"] as e2 "
-      "with e1 before e2 return distinct p, f, g";
-  ExecOptions serial;
-  serial.parallel_patterns = false;
-  auto baseline = Run(query, serial);
-  ExecOptions spec;
-  spec.speculative_patterns = true;
-  auto report = Run(query, spec);
-  EXPECT_EQ(report.results.rows, baseline.results.rows);
-  EXPECT_EQ(report.pattern_match_counts, baseline.pattern_match_counts);
-  EXPECT_EQ(report.unmatched_patterns, baseline.unmatched_patterns);
-  EXPECT_EQ(report.matched_event_ids, baseline.matched_event_ids);
+TEST_F(EngineTest, PatternEmptiedByRefilterIsNotExcessive) {
+  // e1 matches p1 and p2 reading f1/f2; e2 narrows p to p1 and e3 narrows
+  // f to f2, so refilter empties e1 (p1 never read f2). The result must be
+  // empty, not e1 dropped as excessive.
+  std::vector<audit::SyscallRecord> recs = {
+      FileRec(1'000'000, "read", "/bin/p1", 30, "/data/f1"),
+      FileRec(2'000'000, "read", "/bin/p2", 31, "/data/f2"),
+      FileRec(3'000'000, "write", "/bin/p1", 30, "/tmp/x"),
+      FileRec(4'000'000, "read", "/bin/cat", 32, "/data/f2"),
+  };
+  auto report = RunOnRecords(
+      recs,
+      "proc p[\"%p%\"] read file f[\"%f%\"] as e1 "
+      "proc p write file g[\"%x%\"] as e2 "
+      "proc q[\"%cat%\"] read file f as e3 return p, f, g, q");
+  EXPECT_TRUE(report.results.rows.empty());
+  EXPECT_TRUE(report.unmatched_patterns.empty());
+  EXPECT_EQ(report.pattern_match_counts, (std::vector<size_t>{2, 1, 1}));
+}
 
-  // A zero-match pattern propagates no domain; the dependent pattern runs
-  // unfiltered in both schedules and the reports must still agree.
-  const char* pruned =
-      "proc p[\"%nonexistent%\"] read file f as e1 "
-      "proc p write file g as e2 return p";
-  auto pruned_serial = Run(pruned, serial);
-  auto pruned_spec = Run(pruned, spec);
-  EXPECT_EQ(pruned_spec.results.rows, pruned_serial.results.rows);
-  EXPECT_EQ(pruned_spec.pattern_match_counts,
-            pruned_serial.pattern_match_counts);
-  EXPECT_EQ(pruned_spec.unmatched_patterns, pruned_serial.unmatched_patterns);
+TEST_F(EngineTest, DeepestParsableFilterExecutesOnBothBackends) {
+  // 200 '!' is the TBQL nesting cap (199 NOT levels plus a negated value,
+  // so the filter means "%tar%"); the compiled SQL and Cypher nest about
+  // twice as deep and must still parse.
+  std::string filter = "[" + std::string(200, '!') + "\"%tar%\"]";
+  for (const std::string& arrow : {std::string("read"),
+                                   std::string("->[read]")}) {
+    std::string query = "proc p" + filter + " " + arrow +
+                        " file f[\"%passwd%\"] return p, f";
+    auto report = Run(query.c_str());
+    ASSERT_EQ(report.results.rows.size(), 1u) << arrow;
+    EXPECT_EQ(report.results.rows[0][0], "/bin/tar");
+  }
+  std::string too_deep = "proc p[" + std::string(202, '!') +
+                         "\"%tar%\"] read file f return p";
+  auto rejected = TbqlExecutor(&store_).ExecuteText(too_deep);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kParseError);
 }
 
 TEST_F(EngineTest, PatternDependenciesChainSharedEntities) {

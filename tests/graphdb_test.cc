@@ -256,6 +256,26 @@ TEST_F(GraphDbTest, OutOfRangeNumbersAreParseErrors) {
   }
 }
 
+TEST_F(GraphDbTest, DeepNestingIsAParseError) {
+  // Past the nesting cap, NOT and parentheses are a parse error (100k
+  // levels would overflow the stack).
+  std::string nots;
+  for (int i = 0; i < 100'000; ++i) nots += "NOT ";
+  const std::string kQueries[] = {
+      "MATCH (p:proc) WHERE " + nots + "p.pid = 1 RETURN p",
+      "MATCH (p:proc) WHERE " + std::string(100'000, '(') + "p.pid = 1" +
+          std::string(100'000, ')') + " RETURN p",
+  };
+  for (const std::string& text : kQueries) {
+    auto q = ParseCypher(text);
+    ASSERT_FALSE(q.ok());
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+    EXPECT_NE(q.status().message().find("nesting too deep"),
+              std::string::npos)
+        << q.status().ToString();
+  }
+}
+
 TEST_F(GraphDbTest, UnboundVariableInReturnFails) {
   auto rs = db_.Query("MATCH (p:proc) RETURN q.exename");
   EXPECT_FALSE(rs.ok());

@@ -70,6 +70,26 @@ TEST(SqlParserTest, OutOfRangeNumbersAreParseErrors) {
   }
 }
 
+TEST(SqlParserTest, DeepNestingIsAParseError) {
+  // Past the nesting cap, NOT and parentheses are a parse error (100k
+  // levels would overflow the stack).
+  std::string nots;
+  for (int i = 0; i < 100'000; ++i) nots += "NOT ";
+  const std::string kQueries[] = {
+      "SELECT id FROM t WHERE " + nots + "id = 1",
+      "SELECT id FROM t WHERE " + std::string(100'000, '(') + "id = 1" +
+          std::string(100'000, ')'),
+  };
+  for (const std::string& text : kQueries) {
+    auto stmt = ParseSelect(text);
+    ASSERT_FALSE(stmt.ok());
+    EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
+    EXPECT_NE(stmt.status().message().find("nesting too deep"),
+              std::string::npos)
+        << stmt.status().ToString();
+  }
+}
+
 TEST_F(RelationalTest, SimpleSelect) {
   auto rs = db_.Query("SELECT name FROM entities WHERE type = 'proc'");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();

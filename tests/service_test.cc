@@ -333,39 +333,6 @@ TEST(HuntServiceTest, CypherAndSqlBlocksAdoptedZeroCopy) {
   EXPECT_EQ(sq.value().rows.pushed_rows(), 0u);
 }
 
-TEST(HuntServiceTest, DagSchedulingMatchesSequentialPatternOrder) {
-  auto tr = BuildWideStore(24, 24);
-  const char* queries[] = {
-      // Chain through a shared process entity.
-      "proc p read file f[\"%_3%\"] as e1 proc p read file g[\"%_8%\"] as e2 "
-      "with e1 before e2 return distinct p, f, g",
-      // Two fully independent pattern pairs plus a dependent third.
-      "proc a read file x[\"%d2_%\"] as e1 proc b read file y[\"%d5_%\"] as "
-      "e2 proc a read file z[\"%_9%\"] as e3 return distinct a, b, z",
-  };
-  for (const char* q : queries) {
-    engine::TbqlExecutor executor(tr->store());
-    engine::ExecOptions sequential;
-    sequential.parallel_patterns = false;
-    auto base = executor.ExecuteText(q, sequential);
-    ASSERT_TRUE(base.ok()) << base.status().ToString();
-
-    engine::ExecOptions dag;
-    dag.parallel_patterns = true;
-    auto par = executor.ExecuteText(q, dag);
-    ASSERT_TRUE(par.ok()) << par.status().ToString();
-
-    EXPECT_EQ(par.value().results.rows, base.value().results.rows) << q;
-    EXPECT_EQ(par.value().executed_queries, base.value().executed_queries)
-        << q;
-    EXPECT_EQ(par.value().pattern_match_counts,
-              base.value().pattern_match_counts)
-        << q;
-    EXPECT_EQ(par.value().matched_event_ids, base.value().matched_event_ids)
-        << q;
-  }
-}
-
 TEST(HuntServiceTest, FacadeIngestsWhileHuntsInFlight) {
   auto tr = BuildWideStore(100, 100);
   HuntService* service = tr->hunt_service();

@@ -157,6 +157,31 @@ TEST(TbqlParserTest, OutOfRangeNumbersAreParseErrors) {
   }
 }
 
+TEST(TbqlParserTest, DeepNestingIsAParseError) {
+  // Past the nesting cap, '!' and parentheses are a parse error (100k
+  // levels would overflow the stack). Shallow nesting still parses.
+  const std::string n(100'000, '!');
+  const std::string open(100'000, '('), close(100'000, ')');
+  const std::string kQueries[] = {
+      "proc p " + n + "read file f return p",
+      "proc p[" + n + "\"%x%\"] read file f return p",
+      "proc p[" + open + "\"%x%\"" + close + "] read file f return p",
+      "proc p " + open + "read" + close + " file f return p",
+  };
+  for (const std::string& text : kQueries) {
+    auto q = ParseTbql(text);
+    ASSERT_FALSE(q.ok());
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+    EXPECT_NE(q.status().message().find("nesting too deep"),
+              std::string::npos)
+        << q.status().ToString();
+  }
+  EXPECT_TRUE(ParseTbql("proc p " + std::string(100, '!') +
+                        "read file f[" + std::string(100, '(') + "\"%x%\"" +
+                        std::string(100, ')') + "] return p")
+                  .ok());
+}
+
 TEST(TbqlAnalyzerTest, SubjectMustBeProcess) {
   auto q = ParseTbql("file f read file g return f");
   ASSERT_TRUE(q.ok());

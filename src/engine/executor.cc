@@ -179,10 +179,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   report.pattern_match_counts.assign(n_patterns, 0);
 
   // "last N" windows resolve against the newest event in the store.
-  audit::Timestamp now = 0;
-  for (const audit::SystemEvent& ev : store_->events()) {
-    now = std::max(now, ev.end_time);
-  }
+  const audit::Timestamp now = store_->newest_end_time();
 
   // ---- Scheduling ----------------------------------------------------------
   std::vector<size_t> order(n_patterns);

@@ -1231,6 +1231,8 @@ Result<HuntResponse> HuntService::ExecuteQuery(
                        static_cast<int64_t>(stats.base_rows_scanned));
         exec_span->Set("index_probe_rows",
                        static_cast<int64_t>(stats.index_probe_rows));
+        exec_span->Set("semijoin_seed_rows",
+                       static_cast<int64_t>(stats.semijoin_seed_rows));
         exec_span->Set("rows_emitted",
                        static_cast<int64_t>(stats.rows_emitted));
         exec_span->Set("columnar_filter_rows",

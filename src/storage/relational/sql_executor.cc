@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string_view>
 #include <unordered_map>
@@ -163,10 +164,17 @@ class Evaluator {
       case BinaryOp::kLe: return l.Compare(r) <= 0;
       case BinaryOp::kGt: return l.Compare(r) > 0;
       case BinaryOp::kGe: return l.Compare(r) >= 0;
-      case BinaryOp::kLike: return LikeMatch(l.ToString(), r.ToString());
-      case BinaryOp::kNotLike: return !LikeMatch(l.ToString(), r.ToString());
+      case BinaryOp::kLike: return Like(l, r);
+      case BinaryOp::kNotLike: return !Like(l, r);
       default: return false;
     }
+  }
+
+  /// LIKE over the operands' text renderings (NULL reads as "NULL");
+  /// text operands match in place, without a copy.
+  static bool Like(const Value& l, const Value& r) {
+    if (l.is_text() && r.is_text()) return LikeMatch(l.AsText(), r.AsText());
+    return LikeMatch(l.ToString(), r.ToString());
   }
 
  private:
@@ -176,8 +184,9 @@ class Evaluator {
 
 /// A single-table filter compiled against the table's frozen columnar
 /// storage (table.h / storage/columnar.h). Compilation recognizes
-/// `col op literal`, `literal op col` (op mirrored), and non-negated
-/// `col IN (...)` with a type-homogeneous list; anything else — and every
+/// `col op literal`, `literal op col` (op mirrored), non-negated
+/// `col IN (...)` with a type-homogeneous list, and `col [NOT] LIKE 'text'`
+/// on a string column; anything else — and every
 /// (shard, predicate) pair the frozen column cannot represent exactly
 /// (kMixed columns, double or NULL literals) — keeps Mode::kEval and runs
 /// through the row-path Evaluator unchanged. Modes bind per shard because
@@ -189,7 +198,9 @@ class Evaluator {
 /// dictionary can never equal a cell, string range predicates compare
 /// dictionary names (same sign as Value's text ordering), and an absent
 /// cell behaves as NULL (smaller than every non-null literal, equal to
-/// nothing).
+/// nothing). LIKE evaluates each dictionary string at most once per query
+/// and memoizes the verdict per dictionary id; an absent cell takes the
+/// row path's verdict on the text "NULL".
 class ColumnPredicate {
  public:
   /// Compile `f`, a single-table filter of `alias_idx`. Always returns a
@@ -211,6 +222,14 @@ class ColumnPredicate {
         case BinaryOp::kLe:
         case BinaryOp::kGt:
         case BinaryOp::kGe:
+          break;
+        case BinaryOp::kLike:
+        case BinaryOp::kNotLike:
+          // Only `col LIKE 'text'`: the pattern is the right operand.
+          if (f.lhs->kind != ExprKind::kColumnRef ||
+              f.rhs->kind != ExprKind::kLiteral || !f.rhs->literal.is_text()) {
+            return p;
+          }
           break;
         default:
           return p;
@@ -239,6 +258,7 @@ class ColumnPredicate {
     if (!bc.ok() || bc.value().alias_idx != alias_idx) return p;
     int col_idx = bc.value().col_idx;
     bool lit_int = false;
+    bool like = op == BinaryOp::kLike || op == BinaryOp::kNotLike;
     if (in_list) {
       bool all_int = !f.in_list.empty();
       bool all_text = !f.in_list.empty();
@@ -259,6 +279,12 @@ class ColumnPredicate {
     } else if (lit->is_int()) {
       p.int_lit_ = lit->AsInt();
       lit_int = true;
+    } else if (like) {
+      p.str_lit_ = lit->AsText();
+      p.like_null_ = LikeMatch("NULL", p.str_lit_);
+      p.like_memo_size_ = table.ColumnDictSize(col_idx);
+      p.like_memo_ =
+          std::make_unique<std::atomic<uint8_t>[]>(p.like_memo_size_);
     } else if (lit->is_text()) {
       p.str_lit_ = lit->AsText();
       p.dict_lit_ = table.LookupColumnDict(col_idx, p.str_lit_);
@@ -274,7 +300,10 @@ class ColumnPredicate {
       ps.col = &col;
       if (!col.usable()) continue;  // kMixed (or empty shard): row path
       bool col_int = col.kind() == storage::Column::Kind::kInt64;
-      if (in_list) {
+      if (like) {
+        // An int cell LIKEs its decimal rendering: row path.
+        if (!col_int) ps.mode = Mode::kDictLike;
+      } else if (in_list) {
         // A value of the wrong kind never Compare-equals a cell, so a
         // kind-mismatched homogeneous list matches nothing.
         if (lit_int) {
@@ -340,6 +369,11 @@ class ColumnPredicate {
         int r = table_->ColumnDictName(col_idx_, id).compare(str_lit_);
         return CmpHolds(op_, r < 0 ? -1 : (r > 0 ? 1 : 0));
       }
+      case Mode::kDictLike: {
+        uint32_t id = ps.col->DictAt(pos);
+        bool like = id == kNullDictId ? like_null_ : LikeById(id);
+        return like != (op_ == BinaryOp::kNotLike);
+      }
       case Mode::kEval:
         break;
     }
@@ -359,6 +393,7 @@ class ColumnPredicate {
     kDictNe,  // string column != interned dictionary id
     kDictIn,  // string column IN hashed dictionary-id set
     kStrCmp,  // string column `op` text literal via dictionary names
+    kDictLike,  // string column [NOT] LIKE text, memoized per dict id
   };
 
   struct PerShard {
@@ -396,6 +431,22 @@ class ColumnPredicate {
     return CmpHolds(op, cell_cmp) ? Mode::kAlways : Mode::kNever;
   }
 
+  /// LIKE verdict for dictionary id `id`, memoized (0 = not yet evaluated,
+  /// 1 = no match, 2 = match). Morsel workers share the memo through
+  /// relaxed atomics: two workers racing on one id both evaluate it and
+  /// store the same verdict.
+  bool LikeById(uint32_t id) const {
+    if (id >= like_memo_size_) {  // interned after compile: not memoized
+      return LikeMatch(table_->ColumnDictName(col_idx_, id), str_lit_);
+    }
+    uint8_t v = like_memo_[id].load(std::memory_order_relaxed);
+    if (v == 0) {
+      v = LikeMatch(table_->ColumnDictName(col_idx_, id), str_lit_) ? 2 : 1;
+      like_memo_[id].store(v, std::memory_order_relaxed);
+    }
+    return v == 2;
+  }
+
   const Table* table_ = nullptr;
   int col_idx_ = -1;
   BinaryOp op_ = BinaryOp::kEq;
@@ -404,6 +455,9 @@ class ColumnPredicate {
   std::string_view str_lit_;  // borrowed from the statement's literal
   std::unordered_set<int64_t> int_set_;
   std::unordered_set<uint32_t> dict_set_;
+  bool like_null_ = false;  // LIKE verdict on the text "NULL"
+  size_t like_memo_size_ = 0;
+  std::unique_ptr<std::atomic<uint8_t>[]> like_memo_;  // null unless LIKE
   std::vector<PerShard> shards_;
 };
 
@@ -447,6 +501,69 @@ struct Conjunct {
   std::set<int> aliases;
   bool applied = false;
 };
+
+/// An index access path of one alias: its cheapest indexed `col = literal`
+/// or non-negated `col IN (...)` conjunct, with the exact candidate count
+/// summed over every shard (for IN, the per-value counts: an upper bound on
+/// the deduplicated union).
+struct AccessPath {
+  int col_idx = -1;  // -1: no conjunct probes an index
+  const Value* eq = nullptr;
+  const std::vector<Value>* in = nullptr;
+  size_t count = static_cast<size_t>(-1);
+};
+
+/// Rank every probe-able conjunct of `conjuncts` on alias `alias_idx` by
+/// Table::ProbeCount (no materialization) and return the cheapest — the
+/// same cheapest-access-path choice the graph matcher makes through
+/// ProbeCountNodes. Conjuncts on other aliases are skipped.
+AccessPath BestAccessPath(const std::vector<const Expr*>& conjuncts,
+                          const Binder& binder, int alias_idx) {
+  const Table* table = binder.table(alias_idx);
+  auto indexed = [&](const Expr& col) {
+    auto bc = binder.Resolve(col);
+    return bc.ok() && bc.value().alias_idx == alias_idx &&
+                   table->HasIndex(bc.value().col_idx)
+               ? bc.value().col_idx
+               : -1;
+  };
+  AccessPath best;
+  for (const Expr* f : conjuncts) {
+    AccessPath path;
+    if (f->kind == ExprKind::kBinary && f->op == BinaryOp::kEq) {
+      if (f->lhs->kind == ExprKind::kColumnRef &&
+          f->rhs->kind == ExprKind::kLiteral) {
+        path.col_idx = indexed(*f->lhs);
+        path.eq = &f->rhs->literal;
+      } else if (f->rhs->kind == ExprKind::kColumnRef &&
+                 f->lhs->kind == ExprKind::kLiteral) {
+        path.col_idx = indexed(*f->rhs);
+        path.eq = &f->lhs->literal;
+      }
+    } else if (f->kind == ExprKind::kInList && !f->negated &&
+               f->lhs->kind == ExprKind::kColumnRef) {
+      path.col_idx = indexed(*f->lhs);
+      path.in = &f->in_list;
+    }
+    if (path.col_idx < 0) continue;
+    if (path.eq != nullptr) {
+      path.count = table->ProbeCount(path.col_idx, *path.eq);
+    } else {
+      path.count = 0;
+      for (const Value& v : *path.in) {
+        path.count += table->ProbeCount(path.col_idx, v);
+      }
+    }
+    if (path.count < best.count) best = path;
+  }
+  return best;
+}
+
+/// Rows visited to produce an alias's seed: its best index probe (capped
+/// at the table size), or a full scan without one.
+size_t AccessCost(const AccessPath& path, const Table& table) {
+  return std::min(path.count, table.row_count());
+}
 
 /// Hash-join build storage: per-key row ids chained through fixed-size
 /// chunks allocated from one arena, instead of one heap vector per key.
@@ -873,11 +990,16 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
   bool early_limit = stmt.limit >= 0 && stmt.order_by.empty();
 
   // --- Base-table filtering -------------------------------------------------
-  // For each alias, gather its single-table conjuncts; try index probes for
-  // equality / IN conjuncts on indexed columns, then filter the candidates.
-  // With LIMIT pushed down, the first table's filtering is deferred into
-  // the pipeline so its scan stops early; later tables always materialize
-  // (hash-join build sides and cross products iterate them repeatedly).
+  // For each alias, gather its single-table conjuncts, pick a seed (its
+  // cheapest index probe, or a semi-join probe from a smaller join partner)
+  // and filter the seed into the alias's candidate list. With LIMIT pushed
+  // down, the first table's filtering is deferred into the pipeline so its
+  // scan stops early; the other tables always materialize (hash-join build
+  // sides and cross products iterate them repeatedly).
+  obs::ScopedSpan plan_span(options.trace, "plan");
+  // The plan phase's counters: its increments of *stats (an interrupted
+  // plan still reports what it scanned).
+  const ExecStats before_plan = *stats;
   std::vector<std::vector<const Expr*>> filters(n_aliases);
   for (size_t a = 0; a < n_aliases; ++a) {
     for (Conjunct& c : conjuncts) {
@@ -898,130 +1020,166 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
           ColumnPredicate::Compile(*f, binder, static_cast<int>(a)));
     }
   }
+  // Top-level equi-join conjuncts `x.col = y.col2` between two aliases: the
+  // semi-join seeding candidates, and the hash-join keys below.
+  struct EquiJoin {
+    BoundColumn l, r;
+    Conjunct* conjunct;
+  };
+  std::vector<EquiJoin> equi_joins;
+  for (Conjunct& c : conjuncts) {
+    const Expr& e = *c.expr;
+    if (c.aliases.size() != 2 || e.kind != ExprKind::kBinary ||
+        e.op != BinaryOp::kEq || e.lhs->kind != ExprKind::kColumnRef ||
+        e.rhs->kind != ExprKind::kColumnRef) {
+      continue;
+    }
+    auto l = binder.Resolve(*e.lhs);
+    auto r = binder.Resolve(*e.rhs);
+    if (l.ok() && r.ok()) equi_joins.push_back({l.value(), r.value(), &c});
+  }
+  // Materialize in ascending access cost (ties in FROM order), so a small
+  // alias seeds its larger join partners and one that filters to nothing
+  // ends the query before the expensive ones are touched. A lazy first
+  // table never materializes: it plans last, seeded from all the others.
+  // The pipeline still walks FROM order, so the result is unchanged.
+  bool lazy0 = early_limit && n_aliases > 0;
+  std::vector<AccessPath> paths(n_aliases);
+  std::vector<size_t> cost(n_aliases);
+  std::vector<size_t> order(n_aliases);
+  for (size_t a = 0; a < n_aliases; ++a) {
+    paths[a] = BestAccessPath(filters[a], binder, static_cast<int>(a));
+    cost[a] = AccessCost(paths[a], *tables[a]);
+    order[a] = a;
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    bool lazy_x = lazy0 && x == 0, lazy_y = lazy0 && y == 0;
+    if (lazy_x != lazy_y) return lazy_y;
+    return cost[x] < cost[y];
+  });
+  // The plan loops poll cancellation and the deadline like the scan does.
+  DeadlinePoller plan_deadline(options.deadline);
+  auto interrupted = [&] {
+    return (options.cancel != nullptr &&
+            options.cancel->load(std::memory_order_relaxed)) ||
+           plan_deadline.Expired();
+  };
+  auto interrupt_status = [&] {
+    return options.cancel != nullptr &&
+                   options.cancel->load(std::memory_order_relaxed)
+               ? Status::Cancelled("sql query cancelled")
+               : Status::Timeout("sql query deadline exceeded");
+  };
   std::vector<std::vector<RowId>> candidates(n_aliases);
+  std::vector<char> materialized(n_aliases, 0);
+  // Per alias: its access path for the plan span's note, and the indexed
+  // column it probes (-1: none).
+  std::vector<std::pair<const char*, int>> access(n_aliases, {"skipped", -1});
   std::vector<RowId> lazy0_seed;
-  bool lazy0 = false;
   bool lazy0_scan_all = false;
   // Every join is inner, so an alias left with no candidate row empties the
   // result: the remaining aliases and the pipeline are skipped.
   bool empty_input = false;
-  for (size_t a = 0; a < n_aliases && !empty_input; ++a) {
+  for (size_t a : order) {
+    if (empty_input) break;
     const Table* table = tables[a];
-    // Index selection: rank every probe-able equality / IN conjunct on
-    // this alias by its aggregate per-shard cardinality (Table::ProbeCount,
-    // no materialization), then materialize only the winner — the same
-    // cheapest-access-path choice the graph matcher makes through
-    // ProbeCountNodes. (For IN probes the rank sums per-value counts, an
-    // upper bound on the deduplicated union.)
+    // Semi-join seeding: an indexed join column `a.col = b.col2` whose
+    // partner b is already materialized probes a's index with b's distinct
+    // keys when those probes fetch fewer rows than a's own access path.
+    int sj_col = -1;
+    std::unordered_set<Value, ValueHash, ValueEq> sj_keys;
+    size_t sj_count = cost[a];
+    for (const EquiJoin& ej : equi_joins) {
+      for (const auto& [mine, other] :
+           {std::pair{ej.l, ej.r}, std::pair{ej.r, ej.l}}) {
+        if (mine.alias_idx != static_cast<int>(a) ||
+            !materialized[other.alias_idx] || !table->HasIndex(mine.col_idx)) {
+          continue;
+        }
+        const Table* partner = tables[other.alias_idx];
+        std::unordered_set<Value, ValueHash, ValueEq> keys;
+        size_t count = 0;
+        for (RowId rid : candidates[other.alias_idx]) {
+          if (interrupted()) return interrupt_status();
+          const Value& key = partner->row(rid)[other.col_idx];
+          if (!keys.insert(key).second) continue;
+          count += table->ProbeCount(mine.col_idx, key);
+          if (count >= sj_count) break;
+        }
+        if (count < sj_count) {
+          sj_count = count;
+          sj_col = mine.col_idx;
+          sj_keys = std::move(keys);
+        }
+      }
+    }
+    // The seed: semi-join probes, else the alias's own cheapest index probe
+    // (the union of its per-shard buckets), re-sorted into global row order.
+    // Buckets are disjoint across shards and across distinct keys; IN
+    // probes additionally dedup across values. No seed: a full scan.
     std::vector<RowId> seed;
-    bool seeded = false;
-    int best_col = -1;
-    const Value* best_eq = nullptr;
-    const std::vector<Value>* best_in = nullptr;
-    size_t best_count = static_cast<size_t>(-1);
-    for (const Expr* f : filters[a]) {
-      int col_idx = -1;
-      const Value* eq = nullptr;
-      const std::vector<Value>* in = nullptr;
-      if (f->kind == ExprKind::kBinary && f->op == BinaryOp::kEq) {
-        const Expr* col = nullptr;
-        const Expr* lit = nullptr;
-        if (f->lhs->kind == ExprKind::kColumnRef &&
-            f->rhs->kind == ExprKind::kLiteral) {
-          col = f->lhs.get();
-          lit = f->rhs.get();
-        } else if (f->rhs->kind == ExprKind::kColumnRef &&
-                   f->lhs->kind == ExprKind::kLiteral) {
-          col = f->rhs.get();
-          lit = f->lhs.get();
-        }
-        if (col != nullptr) {
-          auto bc = binder.Resolve(*col);
-          if (bc.ok() && bc.value().alias_idx == static_cast<int>(a) &&
-              table->HasIndex(bc.value().col_idx)) {
-            col_idx = bc.value().col_idx;
-            eq = &lit->literal;
-          }
-        }
-      } else if (f->kind == ExprKind::kInList && !f->negated &&
-                 f->lhs->kind == ExprKind::kColumnRef) {
-        auto bc = binder.Resolve(*f->lhs);
-        if (bc.ok() && bc.value().alias_idx == static_cast<int>(a) &&
-            table->HasIndex(bc.value().col_idx)) {
-          col_idx = bc.value().col_idx;
-          in = &f->in_list;
-        }
+    bool seeded = true;
+    auto probe_into_seed = [&](int col, const Value& key) {
+      for (size_t s = 0; s < table->shard_count(); ++s) {
+        const std::vector<RowId>& bucket = table->Probe(col, key, s);
+        seed.insert(seed.end(), bucket.begin(), bucket.end());
       }
-      if (col_idx < 0) continue;
-      size_t count = 0;
-      if (eq != nullptr) {
-        count = table->ProbeCount(col_idx, *eq);
+    };
+    if (sj_col >= 0) {
+      for (const Value& key : sj_keys) {
+        if (interrupted()) return interrupt_status();
+        probe_into_seed(sj_col, key);
+      }
+      stats->semijoin_seed_rows += seed.size();
+      access[a] = {"semijoin", sj_col};
+    } else if (paths[a].col_idx >= 0) {
+      if (paths[a].eq != nullptr) {
+        probe_into_seed(paths[a].col_idx, *paths[a].eq);
       } else {
-        for (const Value& v : *in) count += table->ProbeCount(col_idx, v);
-      }
-      if (count < best_count) {
-        best_count = count;
-        best_col = col_idx;
-        best_eq = eq;
-        best_in = in;
-      }
-    }
-    if (best_col >= 0) {
-      // Materialize the winner: union of its per-shard buckets, re-sorted
-      // into global row order (buckets are disjoint across shards; IN
-      // probes additionally dedup across values).
-      if (best_eq != nullptr) {
-        for (size_t s = 0; s < table->shard_count(); ++s) {
-          const std::vector<RowId>& bucket =
-              table->Probe(best_col, *best_eq, s);
-          seed.insert(seed.end(), bucket.begin(), bucket.end());
+        for (const Value& v : *paths[a].in) {
+          probe_into_seed(paths[a].col_idx, v);
         }
-      } else {
-        std::unordered_set<RowId> merged;
-        for (const Value& v : *best_in) {
-          for (size_t s = 0; s < table->shard_count(); ++s) {
-            for (RowId rid : table->Probe(best_col, v, s)) {
-              merged.insert(rid);
-            }
-          }
-        }
-        seed.assign(merged.begin(), merged.end());
       }
-      std::sort(seed.begin(), seed.end());
-      seeded = true;
       stats->index_probe_rows += seed.size();
+      access[a] = {"index", paths[a].col_idx};
+    } else {
+      seeded = false;
+      access[a] = {"scan", -1};
     }
-    if (a == 0 && early_limit) {
-      lazy0 = true;
+    if (seeded) {
+      std::sort(seed.begin(), seed.end());
+      seed.erase(std::unique(seed.begin(), seed.end()), seed.end());
+    }
+    if (lazy0 && a == 0) {
       lazy0_scan_all = !seeded;
       lazy0_seed = std::move(seed);
+      empty_input = seeded && lazy0_seed.empty();
       continue;
-    }
-    if (!seeded) {
-      seed.resize(table->row_count());
-      for (RowId i = 0; i < table->row_count(); ++i) seed[i] = i;
     }
     // Apply all single-table filters, through the compiled column check
     // where one is available for the row's shard.
     Tuple probe(n_aliases, kUnbound);
     std::vector<RowId>& out = candidates[a];
-    out.reserve(seed.size());
-    for (RowId rid : seed) {
+    size_t n_seed = seeded ? seed.size() : table->row_count();
+    out.reserve(n_seed);
+    for (size_t i = 0; i < n_seed; ++i) {
+      if (interrupted()) return interrupt_status();
+      RowId rid = seeded ? seed[i] : i;
       ++stats->base_rows_scanned;
       probe[a] = rid;
       bool pass = true;
       size_t sh = table->ShardOf(rid);
       size_t pos = table->LocalOf(rid);
-      for (size_t i = 0; i < filters[a].size(); ++i) {
-        if (compiled[a][i].compiled(sh)) {
+      for (size_t f = 0; f < filters[a].size(); ++f) {
+        if (compiled[a][f].compiled(sh)) {
           ++stats->columnar_filter_rows;
-          if (!compiled[a][i].Matches(sh, pos)) {
+          if (!compiled[a][f].Matches(sh, pos)) {
             pass = false;
             break;
           }
           continue;
         }
-        auto v = eval.Eval(*filters[a][i], probe);
+        auto v = eval.Eval(*filters[a][f], probe);
         if (!v.ok()) return v.status();
         if (!Evaluator::Truthy(v.value())) {
           pass = false;
@@ -1030,7 +1188,25 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       }
       if (pass) out.push_back(rid);
     }
+    materialized[a] = 1;
     empty_input = out.empty();
+  }
+  if (plan_span.get() != nullptr) {
+    obs::TraceSpan* span = plan_span.get();
+    auto delta = [&](size_t ExecStats::*counter) {
+      return static_cast<int64_t>(stats->*counter - before_plan.*counter);
+    };
+    span->Set("base_rows_scanned", delta(&ExecStats::base_rows_scanned));
+    span->Set("index_probe_rows", delta(&ExecStats::index_probe_rows));
+    span->Set("semijoin_seed_rows", delta(&ExecStats::semijoin_seed_rows));
+    span->Set("columnar_filter_rows", delta(&ExecStats::columnar_filter_rows));
+    std::string note;
+    for (size_t a = 0; a < n_aliases; ++a) {
+      const auto& [kind, col] = access[a];
+      note += (a == 0 ? "" : " ") + aliases[a] + "=" + kind;
+      if (col >= 0) note += "(" + tables[a]->schema().column(col).name + ")";
+    }
+    span->Note("access", note);
   }
 
   // --- Join planning (left-deep, FROM order) --------------------------------
@@ -1043,32 +1219,20 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
   for (size_t a = 0; a < n_aliases; ++a) {
     // Equi-join conjuncts linking alias `a` to already-bound aliases:
     // colref(a) = colref(bound).
-    for (Conjunct& c : conjuncts) {
-      if (c.applied || c.expr->kind != ExprKind::kBinary ||
-          c.expr->op != BinaryOp::kEq) {
-        continue;
-      }
-      const Expr& e = *c.expr;
-      if (e.lhs->kind != ExprKind::kColumnRef ||
-          e.rhs->kind != ExprKind::kColumnRef) {
-        continue;
-      }
-      auto l = binder.Resolve(*e.lhs);
-      auto r = binder.Resolve(*e.rhs);
-      if (!l.ok() || !r.ok()) continue;
-      BoundColumn lc = l.value(), rc = r.value();
-      auto is_new = [&](const BoundColumn& b) {
-        return b.alias_idx == static_cast<int>(a);
-      };
-      auto is_bound = [&](const BoundColumn& b) {
-        return bound.count(b.alias_idx) > 0;
-      };
-      if (is_new(lc) && is_bound(rc)) {
-        levels[a].keys.emplace_back(lc, rc);
-        c.applied = true;
-      } else if (is_new(rc) && is_bound(lc)) {
-        levels[a].keys.emplace_back(rc, lc);
-        c.applied = true;
+    auto is_new = [&](const BoundColumn& b) {
+      return b.alias_idx == static_cast<int>(a);
+    };
+    auto is_bound = [&](const BoundColumn& b) {
+      return bound.count(b.alias_idx) > 0;
+    };
+    for (const EquiJoin& ej : equi_joins) {
+      if (ej.conjunct->applied) continue;
+      if (is_new(ej.l) && is_bound(ej.r)) {
+        levels[a].keys.emplace_back(ej.l, ej.r);
+        ej.conjunct->applied = true;
+      } else if (is_new(ej.r) && is_bound(ej.l)) {
+        levels[a].keys.emplace_back(ej.r, ej.l);
+        ej.conjunct->applied = true;
       }
     }
     bound.insert(static_cast<int>(a));
@@ -1094,6 +1258,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
     const Table* table = tables[a];
     std::vector<Value> key_vals;
     for (RowId rid : candidates[a]) {
+      if (interrupted()) return interrupt_status();
       key_vals.clear();
       key_vals.reserve(levels[a].keys.size());
       for (const auto& [nc, oc] : levels[a].keys) {
@@ -1102,6 +1267,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       levels[a].build_rows.Append(levels[a].build[key_vals], rid);
     }
   }
+  obs::Finish(plan_span.get());
 
   // --- Projection setup -----------------------------------------------------
   BlockResultSet result;
@@ -1362,60 +1528,22 @@ double EstimateSelectCost(const SelectStmt& stmt, const Catalog& catalog) {
   }
 
   size_t n_aliases = aliases.size();
-  // Per alias: the cheapest probe-able eq/IN conjunct's cardinality, or the
-  // full row count when nothing probes — exactly the access-path rank the
-  // executor's index selection computes before materializing the winner.
+  // Per alias: the access cost the executor ranks its aliases by — the
+  // cheapest probe-able eq/IN conjunct's cardinality, or the full row count
+  // when nothing probes.
   std::vector<double> est(n_aliases, 0.0);
-  for (size_t a = 0; a < n_aliases; ++a) est[a] = static_cast<double>(tables[a]->row_count());
-  for (const Expr* f : raw_conjuncts) {
-    int col_idx = -1;
-    int alias_idx = -1;
-    const Value* eq = nullptr;
-    const std::vector<Value>* in = nullptr;
-    if (f->kind == ExprKind::kBinary && f->op == BinaryOp::kEq) {
-      const Expr* col = nullptr;
-      const Expr* lit = nullptr;
-      if (f->lhs->kind == ExprKind::kColumnRef &&
-          f->rhs->kind == ExprKind::kLiteral) {
-        col = f->lhs.get();
-        lit = f->rhs.get();
-      } else if (f->rhs->kind == ExprKind::kColumnRef &&
-                 f->lhs->kind == ExprKind::kLiteral) {
-        col = f->rhs.get();
-        lit = f->lhs.get();
-      }
-      if (col != nullptr) {
-        auto bc = binder.Resolve(*col);
-        if (bc.ok() && tables[bc.value().alias_idx]->HasIndex(bc.value().col_idx)) {
-          alias_idx = bc.value().alias_idx;
-          col_idx = bc.value().col_idx;
-          eq = &lit->literal;
-        }
-      }
-    } else if (f->kind == ExprKind::kInList && !f->negated &&
-               f->lhs->kind == ExprKind::kColumnRef) {
-      auto bc = binder.Resolve(*f->lhs);
-      if (bc.ok() && tables[bc.value().alias_idx]->HasIndex(bc.value().col_idx)) {
-        alias_idx = bc.value().alias_idx;
-        col_idx = bc.value().col_idx;
-        in = &f->in_list;
-      }
-    }
-    if (col_idx < 0) continue;
-    const Table* table = tables[alias_idx];
-    size_t count = 0;
-    if (eq != nullptr) {
-      count = table->ProbeCount(col_idx, *eq);
-    } else {
-      for (const Value& v : *in) count += table->ProbeCount(col_idx, v);
-    }
-    est[alias_idx] = std::min(est[alias_idx], static_cast<double>(count));
+  for (size_t a = 0; a < n_aliases; ++a) {
+    est[a] = static_cast<double>(AccessCost(
+        BestAccessPath(raw_conjuncts, binder, static_cast<int>(a)),
+        *tables[a]));
   }
 
-  // The driving alias threads every candidate through the whole left-deep
-  // pipeline, so scale it by the join depth; later aliases pay their own
-  // filter scan once (hash builds) — a deliberately join-selectivity-blind
-  // upper-flavored estimate, cheap and monotone in the inputs.
+  // An upper bound: the FROM-order driving alias is priced at its own
+  // access cost threaded through the whole left-deep pipeline (scaled by
+  // the join depth), and every later alias pays its own filter scan once
+  // (hash builds). The executor's access-ordered materialization and
+  // semi-join seeding only shrink the seeds it visits. Join-selectivity-blind,
+  // cheap and monotone in the inputs.
   double cost = est[0] * static_cast<double>(n_aliases);
   for (size_t a = 1; a < n_aliases; ++a) cost += est[a];
   return cost;

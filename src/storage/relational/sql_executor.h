@@ -4,16 +4,22 @@
 // The plan is intentionally PostgreSQL-like in miniature:
 //  * WHERE/ON conjuncts are classified into single-table pushdown filters,
 //    equi-join predicates, and residual (cross-pattern) predicates;
-//  * base tables are filtered first, through the cheapest hash-index
-//    equality / IN probe where one exists (ranked by exact per-shard
-//    cardinality); a table left empty ends the query (joins are inner);
+//  * base tables are filtered first, in ascending order of their cheapest
+//    hash-index equality / IN probe (ranked by exact per-shard
+//    cardinality; a full scan without one); a table left empty ends the
+//    query (joins are inner). A table with an indexed equi-join column
+//    whose partner is already filtered is seeded by probing that index
+//    with the partner's distinct keys when that fetches fewer rows than
+//    its own best probe (semi-join seeding); the join conjunct still runs
+//    in the hash join;
 //  * single-table filters of the shape `col op literal` / `col IN (...)`
-//    compile against the table's frozen columnar storage (table.h /
-//    storage/columnar.h): int comparisons read the SoA int vector
-//    directly and string equality compares dictionary ids as uint32s.
-//    Filters a column cannot represent exactly (doubles, NULLs,
-//    mixed-type columns, complex expressions) evaluate row-wise, per
-//    predicate and per shard;
+//    / `col [NOT] LIKE 'text'` compile against the table's frozen
+//    columnar storage (table.h / storage/columnar.h): int comparisons
+//    read the SoA int vector directly, string equality compares
+//    dictionary ids as uint32s, and LIKE memoizes its verdict per
+//    dictionary id. Filters a column cannot represent exactly (doubles,
+//    NULLs, mixed-type columns, complex expressions) evaluate row-wise,
+//    per predicate and per shard;
 //  * joins are left-deep in FROM order, hash joins on available equi-join
 //    keys, nested-loop otherwise — executed as a streaming pipeline that
 //    threads one tuple through the levels instead of materializing a tuple
@@ -89,10 +95,11 @@ struct BlockResultSet {
   }
 };
 
-/// Execution counters, exposed for the scheduler-ablation benchmark.
+/// Execution counters (EXPLAIN ANALYZE folds them into its spans).
 struct ExecStats {
   size_t base_rows_scanned = 0;     // rows touched by base-table filters
   size_t index_probe_rows = 0;      // rows fetched through index probes
+  size_t semijoin_seed_rows = 0;    // rows fetched through semi-join probes
   size_t join_output_tuples = 0;    // tuples produced across all joins
   size_t rows_emitted = 0;          // result rows produced
   size_t columnar_filter_rows = 0;  // predicate checks served by frozen columns
@@ -117,10 +124,10 @@ struct SelectOptions {
   /// (every worker polls it alongside the shared LIMIT budget) and the
   /// query returns Status::Cancelled. The flag must outlive the call.
   const std::atomic<bool>* cancel = nullptr;
-  /// Absolute deadline polled inside the scan loops next to the cancel
-  /// flag (amortized clock reads — common/deadline.h), so a single giant
-  /// scan stops within one poll stride of expiry and the query returns
-  /// Status::Timeout.
+  /// Absolute deadline polled inside the scan and candidate
+  /// materialization loops next to the cancel flag (amortized clock
+  /// reads — common/deadline.h), so a single giant scan stops within one
+  /// poll stride of expiry and the query returns Status::Timeout.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   /// Multi-query optimization: when non-null, Database::QueryBlocks
   /// memoizes full-scan results (no LIMIT) keyed by query text so
@@ -128,9 +135,11 @@ struct SelectOptions {
   /// epoch. The owner (service::HuntService) clears it on every store
   /// mutation. Must outlive the call.
   storage::QueryResultCache<BlockResultSet>* result_cache = nullptr;
-  /// EXPLAIN ANALYZE hook: when non-null, the morsel scheduler hangs one
-  /// timed child span per worker under it (scan, probe, and steal counters
-  /// included) and QueryBlocks records subresult cache hits. Null (the
+  /// EXPLAIN ANALYZE hook: when non-null, candidate materialization hangs
+  /// one `plan` span under it (its counters plus an `access` note naming
+  /// each alias's path), the morsel scheduler one timed child span per
+  /// worker (scan, probe, and steal counters included), and QueryBlocks
+  /// records subresult cache hits. Null (the
   /// default) costs one pointer test per query. Must outlive the call.
   obs::TraceSpan* trace = nullptr;
 };
@@ -156,8 +165,10 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
 /// Plan-time cost estimate in "rows visited" units, from the same exact
 /// per-shard index cardinalities (Table::ProbeCount) the planner ranks
 /// access paths with: each alias contributes its cheapest probe-able
-/// candidate count (or its full row count without one), with the driving
-/// alias additionally scaled by the join depth it pipelines through. No
+/// candidate count (or its full row count without one), with the
+/// FROM-order driving alias additionally scaled by the join depth it
+/// pipelines through — an upper bound, since access-ordered
+/// materialization and semi-join seeding only shrink what is visited. No
 /// rows are touched — the estimate costs a handful of hash probes, so
 /// admission layers (service::HuntService) can price a query before
 /// running it. Unknown tables / unresolvable columns degrade gracefully

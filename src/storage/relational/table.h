@@ -132,6 +132,12 @@ class Table {
     return col_dicts_[column_idx].Name(dict_id);
   }
 
+  /// Distinct strings in column `column_idx`'s dictionary; every dictionary
+  /// id of the column is below this.
+  size_t ColumnDictSize(int column_idx) const {
+    return col_dicts_[column_idx].size();
+  }
+
  private:
   // Keyed directly on Value with a Compare()-consistent hash, so inserts
   // and probes never render the cell to a string.

@@ -246,6 +246,7 @@ Status AuditStore::AppendEvent(const SystemEvent& ev, AppendStats* stats) {
   }
   RAPTOR_RETURN_NOT_OK(InsertEventRows(ev));
   events_.push_back(ev);
+  newest_end_time_ = std::max(newest_end_time_, ev.end_time);
   return Status::OK();
 }
 
@@ -353,8 +354,10 @@ Status AuditStore::RebuildBackends() {
   for (const SystemEntity& e : entities_) {
     RAPTOR_RETURN_NOT_OK(InsertEntityRows(e));
   }
+  newest_end_time_ = 0;
   for (const SystemEvent& ev : events_) {
     RAPTOR_RETURN_NOT_OK(InsertEventRows(ev));
+    newest_end_time_ = std::max(newest_end_time_, ev.end_time);
   }
   return Status::OK();
 }

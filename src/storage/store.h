@@ -126,6 +126,11 @@ class AuditStore {
   /// Events removed by retention; ids 1..evicted_through are gone.
   audit::EventId evicted_through() const { return evicted_through_; }
 
+  /// Newest end_time over the stored events (0 when none): the "now" that
+  /// TBQL `last N` windows resolve against. O(1); kept on append and
+  /// recomputed after eviction and snapshot restore.
+  audit::Timestamp newest_end_time() const { return newest_end_time_; }
+
   /// Graph node id for an entity id (kInvalidNode if absent).
   graphdb::NodeId NodeForEntity(audit::EntityId id) const;
 
@@ -166,7 +171,7 @@ class AuditStore {
   Status InsertEventRows(const audit::SystemEvent& ev);
   /// Tear down and re-create both backends from entities_/events_ (same
   /// insertion order → same node/edge ids), preserving configured query
-  /// options.
+  /// options, and recompute newest_end_time_.
   Status RebuildBackends();
 
   StoreOptions options_;
@@ -186,6 +191,8 @@ class AuditStore {
   /// Retention watermark: events with id <= this were evicted. events_[0]
   /// (when present) has id evicted_through_ + 1.
   audit::EventId evicted_through_ = 0;
+  /// Max end_time over events_ (see newest_end_time()).
+  audit::Timestamp newest_end_time_ = 0;
   bool loaded_ = false;        // Load() was called (it remains call-once)
   bool schema_ready_ = false;  // tables + indexes exist
   // Entity prefix of the shared interning store already consumed by

@@ -563,6 +563,44 @@ CatalogQuery RandomSqlQuery(Rng& rng) {
 
 class SqlDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
+/// Run every catalog query, with each LIMIT of kLimits, on both schedules
+/// against the SQL oracle; returns each query's full (un-limited) oracle
+/// row count. Leaves db's options at their defaults.
+std::vector<size_t> CheckSqlCatalog(sql::Database& db,
+                                    const std::vector<CatalogQuery>& catalog) {
+  fixtures::SqlOracle oracle(db);
+  std::vector<size_t> full_rows;
+  for (const CatalogQuery& q : catalog) {
+    auto parsed = sql::ParseSelect(q.text);
+    EXPECT_TRUE(parsed.ok()) << q.text << ": " << parsed.status().ToString();
+    if (!parsed.ok()) return full_rows;
+    auto full_rs = oracle.Run(parsed.value());
+    EXPECT_TRUE(full_rs.ok()) << q.text << ": " << full_rs.status().ToString();
+    if (!full_rs.ok()) return full_rows;
+    std::vector<std::string> full = RenderRowsOrdered(full_rs.value());
+    full_rows.push_back(full.size());
+
+    for (long long limit : kLimits) {
+      std::string text = WithLimit(q, limit);
+      for (bool morsel : {false, true}) {
+        sql::SelectOptions opts;
+        opts.parallel_shards = morsel ? 4 : 1;
+        opts.morsel_size = 3;
+        opts.parallel_min_rows = 0;  // fan out even on these tiny tables
+        opts.parallel_min_limit = 0;
+        db.options() = opts;
+        auto rs = db.Query(text);
+        EXPECT_TRUE(rs.ok()) << text << ": " << rs.status().ToString();
+        if (!rs.ok()) continue;
+        CheckAgainstOracle(q, limit, rs.value().rows, full,
+                           text + (morsel ? " [morsel]" : " [serial]"));
+      }
+    }
+  }
+  db.options() = sql::SelectOptions{};
+  return full_rows;
+}
+
 TEST_P(SqlDifferentialTest, SerialAndMorselMatchOracle) {
   uint64_t seed = GetParam();
   Rng rng(seed * 977 + 13);
@@ -620,41 +658,176 @@ TEST_P(SqlDifferentialTest, SerialAndMorselMatchOracle) {
     catalog.push_back(RandomSqlQuery(rng));
   }
 
-  fixtures::SqlOracle oracle(db);
+  std::vector<size_t> full_rows = CheckSqlCatalog(db, catalog);
+  ASSERT_EQ(full_rows.size(), catalog.size());
   size_t nonempty_random = 0;
-  for (size_t qi = 0; qi < catalog.size(); ++qi) {
-    const CatalogQuery& q = catalog[qi];
-    auto parsed = sql::ParseSelect(q.text);
-    ASSERT_TRUE(parsed.ok()) << q.text << ": " << parsed.status().ToString();
-    auto full_rs = oracle.Run(parsed.value());
-    ASSERT_TRUE(full_rs.ok()) << q.text << ": " << full_rs.status().ToString();
-    std::vector<std::string> full = RenderRowsOrdered(full_rs.value());
-    if (qi >= catalog.size() - kRandomQueries && !full.empty()) {
-      ++nonempty_random;
-    }
-
-    for (long long limit : kLimits) {
-      std::string text = WithLimit(q, limit);
-      for (bool morsel : {false, true}) {
-        sql::SelectOptions opts;
-        opts.parallel_shards = morsel ? 4 : 1;
-        opts.morsel_size = 3;
-        opts.parallel_min_rows = 0;  // fan out even on these tiny tables
-        opts.parallel_min_limit = 0;
-        db.options() = opts;
-        auto rs = db.Query(text);
-        ASSERT_TRUE(rs.ok()) << text << ": " << rs.status().ToString();
-        CheckAgainstOracle(q, limit, rs.value().rows, full,
-                           text + (morsel ? " [morsel]" : " [serial]"));
-      }
-    }
+  for (size_t qi = catalog.size() - kRandomQueries; qi < catalog.size(); ++qi) {
+    if (full_rows[qi] > 0) ++nonempty_random;
   }
   EXPECT_GE(nonempty_random, static_cast<size_t>(kRandomQueries / 3));
-  db.options() = sql::SelectOptions{};
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlDifferentialTest,
                          ::testing::Values(0u, 1u, 2u, 3u, 4u, 5u));
+
+TEST(SqlLikeTest, LikeEdgeCasesMatchOracle) {
+  // LIKE / NOT LIKE runs memoized per dictionary id on string column
+  // slices and row-wise everywhere else; both must agree with the oracle.
+  // Over four shards (row id & 3): `name` holds NULL cells in shard 1 only
+  // (that slice demotes to the row path, where NULL reads as the text
+  // "NULL", while shard 0 stores the real text "NULL"); `m` mixes ints and
+  // strings in shards 0 and 1 (kMixed) but holds only strings in shards 2
+  // and 3; `num` is an int column.
+  sql::Database db(4);
+  ASSERT_TRUE(db.CreateTable("t", sql::Schema({{"id", sql::ColumnType::kInt64},
+                                               {"name", sql::ColumnType::kText},
+                                               {"m", sql::ColumnType::kText},
+                                               {"num",
+                                                sql::ColumnType::kInt64}}))
+                  .ok());
+  static const char* kNames[] = {"/bin/tar", "/bin/cat", "/bin/tap",
+                                 "/etc/passwd", "NULL", "nullable"};
+  for (int i = 0; i < 48; ++i) {
+    sql::Value name = (i % 4 == 1 && i % 3 == 0)
+                          ? sql::Value()
+                          : sql::Value(kNames[(i * 5) % 6]);
+    sql::Value m = (i % 4 < 2 && i % 5 == 0)
+                       ? sql::Value(static_cast<int64_t>(40 + i))
+                       : sql::Value("x" + std::to_string(i % 7));
+    ASSERT_TRUE(db.Insert("t", {sql::Value(static_cast<int64_t>(i)), name, m,
+                                sql::Value(static_cast<int64_t>(i * 7 % 50))})
+                    .ok());
+  }
+  std::vector<CatalogQuery> catalog;
+  for (const char* like : {" LIKE ", " NOT LIKE "}) {
+    for (const char* where : {
+             "name%s'%%UL%%'",      // matches NULL cells and the text NULL
+             "name%s'N_LL'",        // '_' wildcard
+             "name%s'/bin/ta_'",    // '_' wildcard, dictionary strings
+             "name%s'%%zzz%%'",     // matches no dictionary string
+             "name%s'/bin/tar'",    // no wildcard
+             "name%s'%%'",          // everything, NULL included
+             "num%s'1%%'",          // int column: row path
+             "m%s'%%4%%'",          // kMixed and string slices
+             "m%s'x_'",             // kMixed and string slices
+             "'/bin/tar'%sname",    // literal on the left: row path
+             "'%%a%%'%sname",       // the column as the pattern
+         }) {
+      char buf[128];
+      std::snprintf(buf, sizeof(buf), where, like);
+      catalog.push_back({std::string("SELECT id, name FROM t WHERE ") + buf,
+                         false});
+    }
+  }
+  catalog.push_back(
+      {"SELECT DISTINCT name FROM t WHERE name NOT LIKE '%bin%' AND "
+       "name NOT LIKE 'N%' AND m LIKE 'x%'",  // NULL and 'NULL' render alike
+       true});
+  catalog.push_back(
+      {"SELECT a.id, b.id FROM t a, t b WHERE a.num = b.num AND "
+       "a.name LIKE '%UL%' AND b.m NOT LIKE 'x1'",
+       false});
+  std::vector<size_t> full_rows = CheckSqlCatalog(db, catalog);
+  ASSERT_EQ(full_rows.size(), catalog.size());
+  // The fixture exercises both verdicts: NULL cells match '%UL%', and the
+  // dictionary-miss pattern matches nothing.
+  EXPECT_GT(full_rows[0], 0u);
+  EXPECT_EQ(full_rows[3], 0u);
+  // The string slices of `name` answer LIKE from the column.
+  sql::ExecStats stats;
+  ASSERT_TRUE(db.Query(catalog[0].text, &stats).ok());
+  EXPECT_GT(stats.columnar_filter_rows, 0u);
+}
+
+/// Event/entity tables shaped like the audit store's (`ent` ~ entities,
+/// `ev` ~ events) with the same indexes, for the access-order and
+/// semi-join seeding shapes: 12 procs, 24 files, 240 events; proc 3 reads
+/// and writes /etc/passwd, and other procs read it too.
+void BuildEventEntityTables(sql::Database* db) {
+  using sql::ColumnType;
+  ASSERT_TRUE(db->CreateTable("ent", sql::Schema({{"id", ColumnType::kInt64},
+                                                  {"type", ColumnType::kText},
+                                                  {"name", ColumnType::kText}}))
+                  .ok());
+  ASSERT_TRUE(db->CreateTable("ev", sql::Schema({{"id", ColumnType::kInt64},
+                                                 {"subject", ColumnType::kInt64},
+                                                 {"object", ColumnType::kInt64},
+                                                 {"op", ColumnType::kText}}))
+                  .ok());
+  for (const char* col : {"id", "type", "name"}) {
+    ASSERT_TRUE(db->CreateIndex("ent", col).ok());
+  }
+  for (const char* col : {"subject", "object", "op"}) {
+    ASSERT_TRUE(db->CreateIndex("ev", col).ok());
+  }
+  for (int i = 0; i < 36; ++i) {
+    bool proc = i < 12;
+    std::string name = proc ? "/usr/bin/p" + std::to_string(i)
+                            : "/data/f" + std::to_string(i);
+    if (i == 3) name = "/bin/tar";
+    if (i == 20) name = "/etc/passwd";
+    ASSERT_TRUE(db->Insert("ent", {sql::Value(static_cast<int64_t>(i)),
+                                   sql::Value(proc ? "proc" : "file"),
+                                   sql::Value(name)})
+                    .ok());
+  }
+  static const char* kOps[] = {"read", "write", "read", "execute"};
+  for (int i = 0; i < 240; ++i) {
+    int subject = (i * 7) % 12;
+    int object = 12 + (i * 5) % 24;
+    ASSERT_TRUE(db->Insert("ev", {sql::Value(static_cast<int64_t>(i)),
+                                  sql::Value(static_cast<int64_t>(subject)),
+                                  sql::Value(static_cast<int64_t>(object)),
+                                  sql::Value(kOps[i % 4])})
+                    .ok());
+  }
+}
+
+TEST(SqlAccessOrderTest, EventEntityJoinsMatchOracle) {
+  // Aliases materialize in ascending index-probe count and may be seeded
+  // by a semi-join from a materialized partner; the pipeline still walks
+  // FROM order. The most selective alias sits last in FROM.
+  sql::Database db(4);
+  BuildEventEntityTables(&db);
+  const std::string head =
+      "SELECT e.id, s.name, o.name FROM ev e, ent s, ent o WHERE "
+      "e.subject = s.id AND e.object = o.id AND s.type = 'proc' AND "
+      "o.type = 'file' AND e.op = 'read' AND ";
+  std::vector<CatalogQuery> catalog = {
+      {head + "o.name LIKE '%passwd%'", false},
+      {head + "o.name IN ('/etc/passwd', '/data/f13')", false},
+      {head + "s.name LIKE '%tar%' AND o.name LIKE '%passwd%'", false},
+      // The most selective alias comes out empty: by index, then by filter.
+      {head + "o.name = '/etc/shadow'", false},
+      {head + "o.name LIKE '%shadow%'", false},
+      {"SELECT e.id, e.op FROM ev e JOIN ent s ON e.subject = s.id JOIN ent "
+       "o ON o.id = e.object WHERE s.name = '/bin/tar' AND o.type = 'file' "
+       "AND e.id > s.id",
+       false},
+      {"SELECT DISTINCT s.name FROM ev e, ent s, ent o WHERE e.subject = "
+       "s.id AND e.object = o.id AND o.name = '/etc/passwd'",
+       true},
+      // Text join keys: the semi-join probes a's name index with strings.
+      {"SELECT a.id, b.id FROM ent a, ent b WHERE a.name = b.name AND "
+       "b.type = 'proc' AND b.id < 5",
+       false},
+  };
+  std::vector<size_t> full_rows = CheckSqlCatalog(db, catalog);
+  ASSERT_EQ(full_rows.size(), catalog.size());
+  EXPECT_GT(full_rows[0], 0u);
+  EXPECT_EQ(full_rows[3], 0u);
+  EXPECT_EQ(full_rows[4], 0u);
+
+  // The shapes really seed by semi-join: the first query seeds e from o's
+  // one file; its LIMIT form seeds the lazy first table the same way.
+  for (const char* limit : {"", " LIMIT 2"}) {
+    sql::ExecStats stats;
+    auto rs = db.Query(catalog[0].text + limit, &stats);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_GT(stats.semijoin_seed_rows, 0u) << limit;
+    EXPECT_LT(stats.semijoin_seed_rows, 60u) << limit;
+  }
+}
 
 // ----------------------------------------------------------------- TBQL
 

@@ -448,5 +448,65 @@ TEST_F(EngineTest, ToLength1PathQueryPreservesSemantics) {
   EXPECT_EQ(a.value().results.rows, b.value().results.rows);
 }
 
+TEST(EnginePlanTest, DataLeakReadPatternScansUnderOnePercentOfReads) {
+  // The data_leak hunt's read pattern (tar reads /etc/passwd) against
+  // 20,000 benign reads: 25 processes each read 20 files 40 times, and 5
+  // of them read /etc/passwd too. Reduction is off, so none merge. The
+  // compiled SQL must reach its one event through the entity indexes and a
+  // semi-join, not through the 20,000-row op index.
+  std::vector<audit::SyscallRecord> recs;
+  audit::Timestamp ts = 1'000'000;
+  for (int p = 0; p < 25; ++p) {
+    std::string exe = "/usr/bin/app" + std::to_string(p);
+    for (int f = 0; f < 20; ++f) {
+      std::string path = p < 5 && f == 0 ? std::string("/etc/passwd")
+                                         : "/srv/data" + std::to_string(f);
+      for (int k = 0; k < 40; ++k) {
+        audit::SyscallRecord r;
+        r.ts = ts;
+        r.duration = 10;
+        r.syscall = "read";
+        r.exe = exe;
+        r.pid = 100 + p;
+        r.path = path;
+        r.ret = 64;
+        recs.push_back(r);
+        ts += 1'000;
+      }
+    }
+  }
+  audit::SyscallRecord tar;
+  tar.ts = ts;
+  tar.duration = 10;
+  tar.syscall = "read";
+  tar.exe = "/bin/tar";
+  tar.pid = 99;
+  tar.path = "/etc/passwd";
+  tar.ret = 1000;
+  recs.push_back(tar);
+  audit::ParsedLog log;
+  ASSERT_TRUE(audit::AuditLogParser().Parse(recs, &log).ok());
+  storage::StoreOptions options;
+  options.enable_reduction = false;
+  storage::AuditStore store(options);
+  ASSERT_TRUE(store.Load(log).ok());
+  const size_t kReads = 20'001;
+  ASSERT_EQ(store.event_count(), kReads);
+
+  TbqlExecutor executor(&store);
+  auto report = executor.ExecuteText(
+      "proc p[\"%/bin/tar%\"] read file f[\"%/etc/passwd%\"] return p, f");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report.value().results.rows.size(), 1u);
+  ASSERT_EQ(report.value().executed_queries.size(), 1u);
+  sql::ExecStats stats;
+  auto rs = store.relational().QueryBlocks(
+      report.value().executed_queries[0], &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs.value().rows.row_count(), 1u);
+  EXPECT_LT(stats.base_rows_scanned + stats.index_probe_rows, kReads / 100)
+      << report.value().executed_queries[0];
+}
+
 }  // namespace
 }  // namespace raptor::engine

@@ -199,6 +199,58 @@ TEST_F(RelationalTest, IndexProbeUsedForInList) {
   EXPECT_EQ(stats.index_probe_rows, 2u);
 }
 
+TEST(SemiJoinSeedTest, SmallPartnerSeedsLargerAlias) {
+  // 1,000 entities and 5,000 events, half of them reads. Entities rank
+  // first (one row through the name index), so the events are seeded by
+  // probing their object index with that entity's id — 5 events — instead
+  // of through the 2,500-row op index. The filters still apply to the
+  // seed: only the reads among the 5 survive.
+  Database db(4);
+  ASSERT_TRUE(db.CreateTable("ent", Schema({{"id", ColumnType::kInt64},
+                                            {"name", ColumnType::kText}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateTable("ev", Schema({{"id", ColumnType::kInt64},
+                                           {"object", ColumnType::kInt64},
+                                           {"op", ColumnType::kText}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateIndex("ent", "id").ok());
+  ASSERT_TRUE(db.CreateIndex("ent", "name").ok());
+  ASSERT_TRUE(db.CreateIndex("ev", "object").ok());
+  ASSERT_TRUE(db.CreateIndex("ev", "op").ok());
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(db.Insert("ent", {Value(static_cast<int64_t>(i)),
+                                  Value("/f" + std::to_string(i))})
+                    .ok());
+  }
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(db.Insert("ev", {Value(static_cast<int64_t>(i)),
+                                 Value(static_cast<int64_t>(i % 1000)),
+                                 Value(i % 2 == 0 ? "read" : "write")})
+                    .ok());
+  }
+  const char* kQuery =
+      "SELECT e.id FROM ev e JOIN ent o ON e.object = o.id "
+      "WHERE o.name = '/f7' AND e.op = 'write'";
+  for (const char* limit : {"", " LIMIT 100"}) {
+    ExecStats stats;
+    auto rs = db.Query(std::string(kQuery) + limit, &stats);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    // Events 7, 1007, ..., 4007: ids ending in 7 are odd, so all writes.
+    EXPECT_EQ(rs.value().rows.size(), 5u) << limit;
+    EXPECT_EQ(stats.index_probe_rows, 1u) << limit;    // o via name
+    EXPECT_EQ(stats.semijoin_seed_rows, 5u) << limit;  // e via object
+    EXPECT_EQ(stats.base_rows_scanned, 6u) << limit;
+  }
+  ExecStats reads;
+  auto rs = db.Query(
+      "SELECT e.id FROM ev e JOIN ent o ON e.object = o.id "
+      "WHERE o.name = '/f7' AND e.op = 'read'",
+      &reads);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_TRUE(rs.value().rows.empty());
+  EXPECT_EQ(reads.semijoin_seed_rows, 5u);
+}
+
 TEST_F(RelationalTest, ValueHashConsistentWithCompare) {
   ValueHash hash;
   ValueEq eq;
@@ -526,6 +578,28 @@ TEST(BlockResultTest, DeadlineBoundsSingleGiantScan) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             2'000);
+
+  // Candidate materialization polls too: with the deadline already past,
+  // or the cancel flag already set, the query stops within one poll
+  // stride of rows instead of filtering all 100k.
+  const char* kGiant =
+      "SELECT b.id, d.k FROM big b, dim d WHERE b.name LIKE '%/data/%'";
+  options.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  ExecStats expired_stats;
+  auto expired = db.QueryBlocks(kGiant, options, &expired_stats);
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.status().code(), StatusCode::kTimeout);
+  EXPECT_LE(expired_stats.base_rows_scanned, 4'096u);
+  options.deadline.reset();
+  std::atomic<bool> cancel{true};
+  options.cancel = &cancel;
+  ExecStats cancel_stats;
+  auto cancelled = db.QueryBlocks(kGiant, options, &cancel_stats);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  EXPECT_LE(cancel_stats.base_rows_scanned, 4'096u);
+  options.cancel = nullptr;
 
   // A comfortable deadline does not fire.
   options.deadline =

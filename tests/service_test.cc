@@ -898,6 +898,50 @@ TEST(HuntServiceObsTest, StorageScanSpansCarryWorkCounters) {
   EXPECT_GT(seeds, 0);
 }
 
+TEST(HuntServiceObsTest, SqlPlanAndWorkerCountersSumToExecStats) {
+  // Candidate materialization reports under its own `plan` span, the
+  // pipeline under the morsel workers; together they account for every
+  // row the query's ExecStats counts (folded into the execute span). The
+  // LIMIT form scans its lazy first table inside the workers.
+  auto tr = BuildWideStore(100, 30);
+  HuntService service(tr->store());
+  const std::string query =
+      "SELECT e.id, o.name FROM events e JOIN entities o ON e.object = o.id "
+      "WHERE e.op = 'read' AND o.name LIKE '%d1%'";
+  for (const char* limit : {"", " LIMIT 1000"}) {
+    HuntRequest request = Req(query + limit, QueryDialect::kSql);
+    request.profile = true;
+    auto response = service.Run(std::move(request));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_NE(response.value().profile, nullptr);
+    EXPECT_EQ(response.value().rows.row_count(), 330u) << limit;
+    std::vector<const obs::TraceSpan*> execs, plans, workers;
+    CollectSpans(*response.value().profile, "execute", &execs);
+    CollectSpans(*response.value().profile, "plan", &plans);
+    CollectSpans(*response.value().profile, "morsel_worker[", &workers);
+    ASSERT_EQ(execs.size(), 1u);
+    ASSERT_EQ(plans.size(), 1u);
+    ASSERT_GE(workers.size(), 1u) << "the scan must fan out" << limit;
+    EXPECT_TRUE(plans[0]->finished());
+    bool noted = false;
+    for (const auto& [key, value] : plans[0]->notes()) {
+      if (key == "access") {
+        noted = true;
+        EXPECT_NE(value.find("e="), std::string::npos) << value;
+        EXPECT_NE(value.find("o="), std::string::npos) << value;
+      }
+    }
+    EXPECT_TRUE(noted);
+    for (const char* counter : {"base_rows_scanned", "index_probe_rows",
+                                "semijoin_seed_rows", "rows_emitted"}) {
+      int64_t sum = plans[0]->counter(counter);
+      for (const obs::TraceSpan* w : workers) sum += w->counter(counter);
+      EXPECT_EQ(sum, execs[0]->counter(counter, -1)) << counter << limit;
+    }
+    EXPECT_GT(plans[0]->counter("base_rows_scanned"), 0) << limit;
+  }
+}
+
 TEST(HuntServiceObsTest, ConcurrentProfiledHuntsStayCoherent) {
   auto tr = BuildWideStore(40, 20);
   HuntServiceOptions opts;

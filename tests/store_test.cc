@@ -114,5 +114,52 @@ TEST_F(StoreTest, GroupColumnIsEscapedName) {
   EXPECT_EQ(rs.value().rows[0][0].AsText(), "staff");
 }
 
+TEST(StoreNowTest, NewestEndTimeTracksAppendEvictAndRestore) {
+  // The newest end_time is what TBQL `last N` windows resolve against. Ids
+  // follow start_time; the longest-running event is the oldest one, so
+  // evicting it must lower the newest end_time.
+  StoreOptions options;
+  options.enable_reduction = false;
+  audit::ParsedLog log;
+  audit::EntityId proc = log.entities.InternProcess("/bin/tar", 7);
+  audit::EntityId file = log.entities.InternFile("/etc/passwd");
+  auto event = [&](audit::Timestamp start, audit::Timestamp end) {
+    audit::SystemEvent ev;
+    ev.subject = proc;
+    ev.object = file;
+    ev.start_time = start;
+    ev.end_time = end;
+    return ev;
+  };
+  AuditStore store(options);
+  EXPECT_EQ(store.newest_end_time(), 0);
+  log.events = {event(10, 900), event(20, 100), event(30, 200)};
+  ASSERT_TRUE(store.Load(log).ok());
+  EXPECT_EQ(store.newest_end_time(), 900);
+
+  log.events = {event(40, 300)};
+  ASSERT_TRUE(store.Append(log).ok());
+  EXPECT_EQ(store.newest_end_time(), 900);
+  log.events = {event(50, 1000)};
+  ASSERT_TRUE(store.Append(log).ok());
+  EXPECT_EQ(store.newest_end_time(), 1000);
+
+  ASSERT_TRUE(store.EvictEventsThrough(1).ok());  // drops end 900
+  EXPECT_EQ(store.newest_end_time(), 1000);
+  ASSERT_TRUE(store.EvictEventsThrough(4).ok());
+  EXPECT_EQ(store.newest_end_time(), 1000);
+  ASSERT_TRUE(store.EvictEventsThrough(5).ok());  // nothing left
+  EXPECT_EQ(store.newest_end_time(), 0);
+
+  AuditStore loaded(options);
+  log.events = {event(10, 900), event(20, 100), event(30, 200)};
+  ASSERT_TRUE(loaded.Load(log).ok());
+  ASSERT_TRUE(loaded.EvictEventsThrough(1).ok());
+  EXPECT_EQ(loaded.newest_end_time(), 200);
+  AuditStore restored(options);
+  ASSERT_TRUE(restored.RestoreFrom(loaded.ExportSnapshotState()).ok());
+  EXPECT_EQ(restored.newest_end_time(), 200);
+}
+
 }  // namespace
 }  // namespace raptor::storage

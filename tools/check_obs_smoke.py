@@ -6,6 +6,9 @@ Validates the artifacts of `threatraptor_cli hunt ... --explain-analyze
 
 - the profile JSONL parses, and its first span tree is rooted at `hunt`
   with a non-negative duration and an `execute` child;
+- every relational pattern span has a `plan` child (SQL candidate
+  materialization), and when the pattern emitted rows, `base_rows_scanned`
+  summed over the plan span and the morsel workers is above 0;
 - the captured stdout contains the expected Prometheus metric families.
 
 Usage: check_obs_smoke.py PROFILE.jsonl CAPTURED_STDOUT.txt
@@ -19,6 +22,43 @@ EXPECTED_METRICS = (
     "raptor_admission_queue_depth",
     "raptor_wal_bytes_total",
 )
+
+
+def walk(span):
+    yield span
+    for child in span.get("children", []):
+        yield from walk(child)
+
+
+def check_relational_patterns(root):
+    """Plan span present and scan counters attributed; returns the count of
+    relational pattern spans checked."""
+    checked = 0
+    for span in walk(root):
+        if not span["name"].startswith("pattern["):
+            continue
+        if span.get("notes", {}).get("backend") != "relational":
+            continue
+        counters = span.get("counters", {})
+        if (counters.get("subresult_cache_hits", 0)
+                and not counters.get("subresult_cache_misses", 0)):
+            continue  # answered from the subresult cache: nothing planned
+        checked += 1
+        children = span.get("children", [])
+        plans = [c for c in children if c["name"] == "plan"]
+        assert plans, f"{span['name']}: no plan span: " + str(
+            [c["name"] for c in children])
+        workers = [c for c in children
+                   if c["name"].startswith("morsel_worker[")]
+        scanned = sum(c.get("counters", {}).get("base_rows_scanned", 0)
+                      for c in plans + workers)
+        emitted = sum(c.get("counters", {}).get("rows_emitted", 0)
+                      for c in workers)
+        emitted = max(emitted, counters.get("match_count", 0))
+        assert emitted == 0 or scanned > 0, (
+            f"{span['name']}: {emitted} rows emitted with base_rows_scanned "
+            f"0 over plan + morsel workers")
+    return checked
 
 
 def main():
@@ -35,13 +75,16 @@ def main():
     assert any(c.get("name") == "execute" for c in children), (
         f"no execute child under hunt: {[c.get('name') for c in children]}"
     )
+    relational = check_relational_patterns(root)
+    assert relational > 0, "no relational pattern span in the profile"
     with open(sys.argv[2], encoding="utf-8") as f:
         metrics = f.read()
     missing = [m for m in EXPECTED_METRICS if m not in metrics]
     assert not missing, f"missing metric families: {missing}"
     print(
         f"profile ok ({len(trees)} span tree(s), root {root['duration_us']} "
-        f"us); {len(EXPECTED_METRICS)} expected metric families present"
+        f"us, {relational} relational pattern(s) with plan spans); "
+        f"{len(EXPECTED_METRICS)} expected metric families present"
     )
     return 0
 

@@ -95,7 +95,35 @@ Result<std::string> AttrExprToSql(const AttrExpr& e, const std::string& alias,
   return Status::Internal("unreachable attr expr kind");
 }
 
+/// Collect the ops of a pure positive disjunction (`read || write`);
+/// false when the expression holds a NOT or an AND.
+bool CollectOpDisjunction(const OpExpr& e, std::vector<std::string>* ops) {
+  switch (e.kind) {
+    case OpExprKind::kOp:
+      ops->push_back(e.op);
+      return true;
+    case OpExprKind::kOr:
+      return CollectOpDisjunction(*e.lhs, ops) &&
+             CollectOpDisjunction(*e.rhs, ops);
+    default:
+      return false;
+  }
+}
+
+/// `alias.op IN <open>'a', 'b'<close>` for a pure positive op disjunction
+/// (an index access path in both executors), "" for any other shape.
+std::string OpDisjunctionIn(const OpExpr& e, const std::string& alias,
+                            const char* open, const char* close,
+                            std::string (*quote)(const std::string&)) {
+  std::vector<std::string> ops;
+  if (e.kind != OpExprKind::kOr || !CollectOpDisjunction(e, &ops)) return "";
+  for (std::string& op : ops) op = quote(op);
+  return alias + ".op IN " + open + Join(ops, ", ") + close;
+}
+
 std::string OpExprToSql(const OpExpr& e, const std::string& event_alias) {
+  std::string in = OpDisjunctionIn(e, event_alias, "(", ")", SqlQuote);
+  if (!in.empty()) return in;
   switch (e.kind) {
     case OpExprKind::kOp:
       return event_alias + ".op = " + SqlQuote(e.op);
@@ -230,6 +258,8 @@ Result<std::string> AttrExprToCypher(const AttrExpr& e, const std::string& var,
 }
 
 std::string OpExprToCypher(const OpExpr& e, const std::string& edge_var) {
+  std::string in = OpDisjunctionIn(e, edge_var, "[", "]", CypherQuote);
+  if (!in.empty()) return in;
   switch (e.kind) {
     case OpExprKind::kOp:
       return edge_var + ".op = " + CypherQuote(e.op);

@@ -4,8 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <unordered_set>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "storage/columnar.h"
 #include "storage/graphdb/cypher_parser.h"
 #include "storage/shard_parallel.h"
+#include "storage/string_predicate.h"
 #include "storage/subresult_cache.h"
 
 namespace raptor::graphdb {
@@ -48,198 +52,218 @@ struct Binding {
   }
 };
 
-/// One inline property constraint compiled against the frozen columnar
-/// storage. The literal is resolved once (int value or dictionary id) and
-/// each shard's (label/type × prop) column is classified into a scan mode,
-/// so the per-candidate check is an integer compare against a column cell
-/// instead of a PropertyMap probe + Value::Compare.
+/// One inline property constraint `{key: literal}` compiled against the
+/// frozen columns: a text literal decides through the shared string kernel
+/// (storage/string_predicate.h), an int literal compares int cells in
+/// place, and any other literal compares whole cells. The constraint
+/// holds only on a present cell.
 struct ColPred {
-  enum class Mode : uint8_t {
-    kRow,    // column can't represent the compare exactly; use the row path
-    kNever,  // no cell of this shard's bucket can ever match the literal
-    kInt,    // int column: cell present && cell == int_lit
-    kDict,   // string column: cell dictionary id == dict_lit
-  };
-  struct PerShard {
-    Mode mode = Mode::kRow;
-    const storage::Column* col = nullptr;  // kInt / kDict only
-  };
+  ColPred(const PropertyGraph& graph, const PropConstraint& pc)
+      : prop_id(graph.LookupPropName(pc.key)), lit(&pc.value) {
+    if (pc.value.is_text()) {
+      text.emplace(storage::StringPredicate::Op::kEq,
+                   std::vector<std::string>{pc.value.AsText()},
+                   graph.PropDict(prop_id));
+    }
+  }
 
-  const PropConstraint* pc = nullptr;  // row-path fallback source
-  int64_t int_lit = 0;
-  uint32_t dict_lit = storage::kNullDictId;
-  SmallVector<PerShard, 4> shards;
+  uint32_t prop_id;
+  const Value* lit;
+  std::optional<storage::StringPredicate> text;  // text literals
+  /// The pattern's (shard × label / type) slices, indexed by shard; empty
+  /// when the pattern names no label / type.
+  SmallVector<const storage::Column*, 4> cols;
 
   /// `pos` is the candidate's dense bucket offset (label_pos / type_pos).
-  bool Matches(size_t shard, size_t pos, const Node* row_node,
-               const Edge* row_edge) const {
-    const PerShard& ps = shards[shard];
-    switch (ps.mode) {
-      case Mode::kNever:
-        return false;
-      case Mode::kInt: {
-        int64_t v;
-        return ps.col->IntAt(pos, &v) && v == int_lit;
-      }
-      case Mode::kDict:
-        return ps.col->DictAt(pos) == dict_lit;
-      case Mode::kRow: {
-        const Value* v = row_node != nullptr ? row_node->FindProp(pc->key)
-                                             : row_edge->FindProp(pc->key);
-        return v != nullptr && v->Compare(pc->value) == 0;
-      }
+  bool Matches(const storage::Column* col, size_t pos) const {
+    if (text.has_value()) return text->OnCell(col, pos);
+    if (col == nullptr || col->kind() == storage::Column::Kind::kString) {
+      return false;  // absent, or a text cell against a non-text literal
     }
-    return false;
+    if (lit->is_int() && col->kind() == storage::Column::Kind::kInt64) {
+      int64_t v;
+      return col->IntAt(pos, &v) && v == lit->AsInt();
+    }
+    Value v;
+    return col->CellAt(pos, &v) && v.Compare(*lit) == 0;
   }
 };
 
-/// Classify one constraint against one shard's column. The literal kinds
-/// the columns represent exactly are int and text; doubles and NULLs keep
-/// the row path (a double literal can numerically equal an int cell under
-/// Value::Compare). A missing column means no row of the bucket carries
-/// the property, and a kind mismatch (text literal vs int column and vice
-/// versa) can never compare equal — both are kNever. A text literal absent
-/// from the property's global dictionary (dict_lit == kNullDictId, which
-/// doubles as the absent-cell sentinel) also matches nothing and must
-/// never be id-compared against cells.
-ColPred::PerShard ClassifyColumn(const storage::Column* col,
-                                 const Value& lit, uint32_t dict_lit) {
-  ColPred::PerShard ps;
-  if (col == nullptr) {
-    ps.mode = ColPred::Mode::kNever;
-    return ps;
+/// A single-variable WHERE conjunct, applied as soon as its variable binds
+/// (the predicate pushdown real graph databases perform; without it a
+/// multi-pattern MATCH would enumerate the full cross product first).
+/// `var.prop op 'text'` (op `=`, `<>`, CONTAINS, STARTS WITH, ENDS WITH,
+/// or IN over a text list, under any number of NOTs) decides through the
+/// shared string kernel; anything else evaluates through CypherEvaluator.
+struct PushedFilter {
+  const CypherExpr* expr = nullptr;
+  std::string_view prop;  // the property a `var.prop op literal` reads
+  uint32_t prop_id = kNoSymbol;
+  // The index probes BestSeedPath ranks: `prop = literal` (any literal)
+  // and a positive `prop IN [...]`.
+  const Value* index_eq = nullptr;
+  const std::vector<Value>* index_in = nullptr;
+  std::optional<storage::StringPredicate> strings;
+  bool negate = false;
+};
+
+PushedFilter CompilePushedFilter(const CypherExpr& f,
+                                 const PropertyGraph& graph) {
+  using StrOp = storage::StringPredicate::Op;
+  PushedFilter out;
+  out.expr = &f;
+  const CypherExpr* e = &f;
+  bool negate = false;
+  while (e->kind == CypherExprKind::kNot) {
+    negate = !negate;
+    e = e->lhs.get();
   }
-  if (!col->usable() || (!lit.is_int() && !lit.is_text())) {
-    ps.mode = ColPred::Mode::kRow;
-    return ps;
+  const CypherExpr* prop = nullptr;
+  const Value* lit = nullptr;
+  if (e->kind == CypherExprKind::kInList &&
+      e->lhs->kind == CypherExprKind::kPropRef) {
+    prop = e->lhs.get();
+    negate = negate != e->negated;
+    if (!negate) out.index_in = &e->in_list;
+  } else if (e->kind == CypherExprKind::kBinary &&
+             e->lhs->kind == CypherExprKind::kPropRef &&
+             e->rhs->kind == CypherExprKind::kLiteral) {
+    prop = e->lhs.get();
+    lit = &e->rhs->literal;
+  } else if (e->kind == CypherExprKind::kBinary &&
+             (e->op == CypherBinaryOp::kEq || e->op == CypherBinaryOp::kNe) &&
+             e->lhs->kind == CypherExprKind::kLiteral &&
+             e->rhs->kind == CypherExprKind::kPropRef) {
+    prop = e->rhs.get();
+    lit = &e->lhs->literal;
+  } else {
+    return out;
   }
-  if (col->kind() == storage::Column::Kind::kInt64) {
-    ps.mode = lit.is_int() ? ColPred::Mode::kInt : ColPred::Mode::kNever;
-  } else {  // kString
-    ps.mode = lit.is_text() && dict_lit != storage::kNullDictId
-                  ? ColPred::Mode::kDict
-                  : ColPred::Mode::kNever;
+  out.prop = prop->prop;
+  out.prop_id = graph.LookupPropName(prop->prop);
+  if (lit != nullptr && e->op == CypherBinaryOp::kEq && !negate) {
+    out.index_eq = lit;
   }
-  ps.col = col;
-  return ps;
+  std::vector<std::string> needles;
+  StrOp op = StrOp::kEq;
+  if (lit == nullptr) {  // IN: an all-text, non-empty list
+    for (const Value& v : e->in_list) {
+      if (!v.is_text()) return out;
+      needles.push_back(v.AsText());
+    }
+    if (needles.empty()) return out;
+    op = StrOp::kIn;
+  } else {
+    if (!lit->is_text()) return out;
+    needles.push_back(lit->AsText());
+    switch (e->op) {
+      case CypherBinaryOp::kNe: negate = !negate; [[fallthrough]];
+      case CypherBinaryOp::kEq: op = StrOp::kEq; break;
+      case CypherBinaryOp::kContains: op = StrOp::kContains; break;
+      case CypherBinaryOp::kStartsWith: op = StrOp::kStartsWith; break;
+      case CypherBinaryOp::kEndsWith: op = StrOp::kEndsWith; break;
+      default: return out;
+    }
+  }
+  out.negate = negate;
+  out.strings.emplace(op, std::move(needles), graph.PropDict(out.prop_id));
+  return out;
 }
 
-/// A node pattern with its label resolved to the graph's interned id and
-/// its variable to the query's slot, so candidate checks compare integers
-/// instead of strings. When the label is known, inline property
-/// constraints additionally compile to ColPreds over the frozen
-/// per-(shard × label) columns; unlabeled patterns probe the PropertyMap.
-struct ResolvedNode {
-  const NodePattern* pat = nullptr;
-  bool has_label = false;
-  bool columnar = false;          // col_preds cover every constraint
-  uint32_t label_id = kNoSymbol;  // kNoSymbol: label absent, matches nothing
-  uint32_t var_slot = kNoSymbol;  // kNoSymbol: anonymous node
-  std::vector<ColPred> col_preds;
+/// Pushed-down filters by variable name.
+using PushdownFilters =
+    std::unordered_map<std::string, std::vector<PushedFilter>>;
 
-  bool Matches(const Node& node, const PropertyGraph& graph) const {
-    if (has_label && node.label_id != label_id) return false;
-    if (columnar) {
-      size_t shard = graph.ShardOf(node.id);
-      for (const ColPred& cp : col_preds) {
-        if (!cp.Matches(shard, node.label_pos, &node, nullptr)) return false;
-      }
-      return true;
+const std::vector<PushedFilter>* FiltersOf(const PushdownFilters& pushdown,
+                                           const std::string& var) {
+  if (var.empty()) return nullptr;
+  auto it = pushdown.find(var);
+  return it == pushdown.end() ? nullptr : &it->second;
+}
+
+/// A node or relationship pattern resolved against the graph: its label /
+/// type (the entity's bucket) to the interned id, its variable to the
+/// query's slot, its inline properties to ColPreds over the per-(shard ×
+/// bucket) columns, and its pushed-down WHERE filters attached, so
+/// candidate checks compare integers instead of strings. Typed expansion
+/// uses a relationship's bucket id to select the per-type adjacency group.
+template <class Pattern>
+struct Resolved {
+  static constexpr bool kNode = std::is_same_v<Pattern, NodePattern>;
+
+  const Pattern* pat = nullptr;
+  bool has_bucket = false;         // the pattern names a label / type
+  uint32_t bucket_id = kNoSymbol;  // kNoSymbol: absent, matches nothing
+  uint32_t var_slot = kNoSymbol;   // kNoSymbol: anonymous
+  std::vector<ColPred> col_preds;
+  const std::vector<PushedFilter>* filters = nullptr;  // null: none
+
+  /// Entity `id`'s bucket and its position there.
+  static std::pair<uint32_t, size_t> Locate(const PropertyGraph& graph,
+                                            uint64_t id) {
+    if constexpr (kNode) {
+      const Node& n = graph.node(id);
+      return {n.label_id, n.label_pos};
+    } else {
+      const Edge& e = graph.edge(id);
+      return {e.type_id, e.type_pos};
     }
-    for (const PropConstraint& pc : pat->props) {
-      const Value* v = node.FindProp(pc.key);
-      if (v == nullptr || v->Compare(pc.value) != 0) return false;
+  }
+
+  /// Property `prop_id`'s slice of `bucket` in `shard`.
+  static const storage::Column* Slice(const PropertyGraph& graph,
+                                      size_t shard, uint32_t bucket,
+                                      uint32_t prop_id) {
+    return kNode ? graph.NodeColumn(shard, bucket, prop_id)
+                 : graph.EdgeColumn(shard, bucket, prop_id);
+  }
+
+  bool Matches(uint64_t id, const PropertyGraph& graph) const {
+    auto [bucket, pos] = Locate(graph, id);
+    if (has_bucket && bucket != bucket_id) return false;
+    size_t shard = graph.ShardOf(id);
+    for (const ColPred& cp : col_preds) {
+      const storage::Column* col =
+          has_bucket ? cp.cols[shard] : Slice(graph, shard, bucket, cp.prop_id);
+      if (!cp.Matches(col, pos)) return false;
     }
     return true;
   }
 };
 
-/// A relationship pattern with its type resolved to the interned id; typed
-/// expansion uses the id to select the per-type adjacency group directly.
-/// Inline property constraints compile to ColPreds over the per-(shard ×
-/// edge type) columns when the type is known.
-struct ResolvedRel {
-  const RelPattern* pat = nullptr;
-  bool has_type = false;
-  bool columnar = false;
-  uint32_t type_id = kNoSymbol;
-  uint32_t var_slot = kNoSymbol;
-  std::vector<ColPred> col_preds;
+using ResolvedNode = Resolved<NodePattern>;
+using ResolvedRel = Resolved<RelPattern>;
 
-  bool Matches(const Edge& edge, const PropertyGraph& graph) const {
-    if (has_type && edge.type_id != type_id) return false;
-    if (columnar) {
-      size_t shard = graph.ShardOf(edge.id);
-      for (const ColPred& cp : col_preds) {
-        if (!cp.Matches(shard, edge.type_pos, nullptr, &edge)) return false;
-      }
-      return true;
-    }
-    for (const PropConstraint& pc : pat->props) {
-      const Value* v = edge.FindProp(pc.key);
-      if (v == nullptr || v->Compare(pc.value) != 0) return false;
-    }
-    return true;
-  }
-};
-
-ColPred CompileColPred(const PropertyGraph& graph, const PropConstraint& pc,
-                       bool node_side, uint32_t bucket_id) {
-  ColPred cp;
-  cp.pc = &pc;
-  uint32_t prop_id = graph.LookupPropName(pc.key);
-  if (pc.value.is_int()) cp.int_lit = pc.value.AsInt();
-  if (pc.value.is_text()) {
-    cp.dict_lit = graph.LookupPropDict(prop_id, pc.value.AsText());
-  }
-  for (size_t s = 0; s < graph.shard_count(); ++s) {
-    const storage::Column* col = node_side
-                                     ? graph.NodeColumn(s, bucket_id, prop_id)
-                                     : graph.EdgeColumn(s, bucket_id, prop_id);
-    cp.shards.push_back(ClassifyColumn(col, pc.value, cp.dict_lit));
-  }
-  return cp;
-}
-
-ResolvedNode ResolveNode(const PropertyGraph& graph, const VarTable& vars,
-                         const NodePattern& pat) {
-  ResolvedNode r;
+template <class Pattern>
+Resolved<Pattern> ResolvePattern(const PropertyGraph& graph,
+                                 const VarTable& vars,
+                                 const PushdownFilters& pushdown,
+                                 const Pattern& pat) {
+  constexpr bool kNode = Resolved<Pattern>::kNode;
+  Resolved<Pattern> r;
   r.pat = &pat;
-  if (!pat.label.empty()) {
-    r.has_label = true;
-    r.label_id = graph.LookupLabel(pat.label);
+  const std::string* bucket;
+  if constexpr (kNode) {
+    bucket = &pat.label;
+  } else {
+    bucket = &pat.type;
   }
-  if (!pat.var.empty()) r.var_slot = vars.nodes.Lookup(pat.var);
-  // Columnar constraints need a known label (the column buckets are per
-  // label); an unknown label matches nothing regardless.
-  if (r.has_label && r.label_id != kNoSymbol) {
-    r.columnar = true;
-    r.col_preds.reserve(pat.props.size());
-    for (const PropConstraint& pc : pat.props) {
-      r.col_preds.push_back(
-          CompileColPred(graph, pc, /*node_side=*/true, r.label_id));
+  if (!bucket->empty()) {
+    r.has_bucket = true;
+    r.bucket_id = kNode ? graph.LookupLabel(*bucket)
+                        : graph.LookupEdgeType(*bucket);
+  }
+  if (!pat.var.empty()) {
+    r.var_slot = (kNode ? vars.nodes : vars.edges).Lookup(pat.var);
+  }
+  for (const PropConstraint& pc : pat.props) {
+    ColPred& cp = r.col_preds.emplace_back(graph, pc);
+    for (size_t s = 0; r.has_bucket && s < graph.shard_count(); ++s) {
+      cp.cols.push_back(Resolved<Pattern>::Slice(graph, s, r.bucket_id,
+                                                 cp.prop_id));
     }
   }
-  return r;
-}
-
-ResolvedRel ResolveRel(const PropertyGraph& graph, const VarTable& vars,
-                       const RelPattern& pat) {
-  ResolvedRel r;
-  r.pat = &pat;
-  if (!pat.type.empty()) {
-    r.has_type = true;
-    r.type_id = graph.LookupEdgeType(pat.type);
-  }
-  if (!pat.var.empty()) r.var_slot = vars.edges.Lookup(pat.var);
-  if (r.has_type && r.type_id != kNoSymbol) {
-    r.columnar = true;
-    r.col_preds.reserve(pat.props.size());
-    for (const PropConstraint& pc : pat.props) {
-      r.col_preds.push_back(
-          CompileColPred(graph, pc, /*node_side=*/false, r.type_id));
-    }
-  }
+  r.filters = FiltersOf(pushdown, pat.var);
   return r;
 }
 
@@ -296,20 +320,22 @@ class CypherEvaluator {
       }
       case CypherExprKind::kPropRef: {
         NodeId nid;
+        // An absent property reads as NULL.
+        Value v;
         if (LookupNodeVar(b, e, &nid)) {
           const Node& node = graph_.node(nid);
-          return ColumnarProp(
-              e, graph_.NodeColumn(graph_.ShardOf(nid), node.label_id,
-                                   SlotsFor(e).prop_id),
-              node.label_pos, [&] { return node.FindProp(e.prop); });
+          const storage::Column* col = graph_.NodeColumn(
+              graph_.ShardOf(nid), node.label_id, SlotsFor(e).prop_id);
+          if (col != nullptr) col->CellAt(node.label_pos, &v);
+          return v;
         }
         EdgeId eid;
         if (LookupEdgeVar(b, e, &eid)) {
           const Edge& edge = graph_.edge(eid);
-          return ColumnarProp(
-              e, graph_.EdgeColumn(graph_.ShardOf(eid), edge.type_id,
-                                   SlotsFor(e).prop_id),
-              edge.type_pos, [&] { return edge.FindProp(e.prop); });
+          const storage::Column* col = graph_.EdgeColumn(
+              graph_.ShardOf(eid), edge.type_id, SlotsFor(e).prop_id);
+          if (col != nullptr) col->CellAt(edge.type_pos, &v);
+          return v;
         }
         return Status::NotFound("unbound variable: " + e.var);
       }
@@ -405,27 +431,6 @@ class CypherEvaluator {
     return it->second;
   }
 
-  /// Property read through a frozen column: a missing column means no
-  /// entity of the bucket carries the property (NULL), and absent cells
-  /// are NULL; a demoted (kMixed) column defers to `row_prop` so doubles
-  /// and null-valued properties keep exact row semantics.
-  template <class RowProp>
-  Result<Value> ColumnarProp(const CypherExpr& e, const storage::Column* col,
-                             size_t pos, RowProp&& row_prop) const {
-    if (col == nullptr) return Value::Null();
-    if (col->kind() == storage::Column::Kind::kInt64) {
-      int64_t v;
-      return col->IntAt(pos, &v) ? Value(v) : Value::Null();
-    }
-    if (col->kind() == storage::Column::Kind::kString) {
-      uint32_t d = col->DictAt(pos);
-      if (d == storage::kNullDictId) return Value::Null();
-      return Value(std::string(graph_.PropDictName(SlotsFor(e).prop_id, d)));
-    }
-    const Value* v = row_prop();
-    return v != nullptr ? *v : Value::Null();
-  }
-
   bool LookupNodeVar(const Binding& b, const CypherExpr& e,
                      NodeId* out) const {
     uint32_t slot = SlotsFor(e).node_slot;
@@ -479,11 +484,84 @@ void CollectVars(const CypherExpr& e, std::unordered_set<std::string>* vars) {
   }
 }
 
-/// Single-variable WHERE conjuncts, applied as soon as their variable binds
-/// (the predicate pushdown real graph databases perform; without it a
-/// multi-pattern MATCH would enumerate the full cross product first).
-using PushdownFilters =
-    std::unordered_map<std::string, std::vector<const CypherExpr*>>;
+/// One start-node access path of a labeled pattern: an indexed property
+/// probed with an inline / WHERE equality literal, a WHERE IN list, or the
+/// dictionary strings a string filter accepts (the dictionary seek), with
+/// the exact candidate count summed over every shard (per value for IN and
+/// the seek: an upper bound on the deduplicated union).
+struct SeedPath {
+  std::string_view prop;
+  const Value* eq = nullptr;
+  const std::vector<Value>* multi = nullptr;
+  std::vector<Value> seek;
+  bool is_seek = false;
+  size_t count = static_cast<size_t>(-1);  // -1: no path, a label scan
+};
+
+/// Access-path ranking for the start node of a chain, shared by the
+/// matcher (SelectSeeds) and the admission estimate (EstimateSeedCount):
+/// competing index probes — indexed inline properties and indexed WHERE
+/// equality / IN filters — rank by ProbeCountNodes without materializing
+/// anything, and the cheapest wins; then each seekable string filter on an
+/// indexed property whose every shard slice is string-typed or absent
+/// (storage/string_predicate.h) walks its dictionary, but only while the
+/// dictionary is smaller than the cheapest path so far (the label bucket
+/// without one), and wins when its summed probe counts are smaller still.
+/// `interrupted` is polled during the walk; nullopt when it fired.
+/// Precondition: `pat` is labeled.
+template <class Interrupted>
+std::optional<SeedPath> BestSeedPath(const NodePattern& pat,
+                                     const std::vector<PushedFilter>* filters,
+                                     const PropertyGraph& graph,
+                                     Interrupted&& interrupted) {
+  SeedPath best;
+  auto offer = [&](std::string_view prop, const Value* eq,
+                   const std::vector<Value>* multi) {
+    if ((eq == nullptr && multi == nullptr) ||
+        !graph.HasNodeIndex(pat.label, prop)) {
+      return;
+    }
+    size_t count = 0;
+    if (eq != nullptr) {
+      count = graph.ProbeCountNodes(pat.label, prop, *eq);
+    } else {
+      for (const Value& v : *multi) {
+        count += graph.ProbeCountNodes(pat.label, prop, v);
+      }
+    }
+    if (count < best.count) best = SeedPath{prop, eq, multi, {}, false, count};
+  };
+  for (const PropConstraint& pc : pat.props) offer(pc.key, &pc.value, nullptr);
+  if (filters == nullptr) return best;
+  for (const PushedFilter& pf : *filters) {
+    offer(pf.prop, pf.index_eq, pf.index_in);
+  }
+  uint32_t label_id = graph.LookupLabel(pat.label);
+  for (const PushedFilter& pf : *filters) {
+    if (!pf.strings.has_value() || pf.negate || !pf.strings->Seekable() ||
+        !graph.HasNodeIndex(pat.label, pf.prop)) {
+      continue;
+    }
+    bool seekable = true;
+    for (size_t s = 0; s < graph.shard_count() && seekable; ++s) {
+      seekable = storage::StringPredicate::SeekableSlice(
+          graph.NodeColumn(s, label_id, pf.prop_id));
+    }
+    if (!seekable) continue;
+    auto seek = pf.strings->SeekBelow(
+        std::min(best.count, graph.LabelCount(pat.label)), interrupted,
+        [&](const Value& key) {
+          return graph.ProbeCountNodes(pat.label, pf.prop, key);
+        });
+    if (seek.has_value()) {
+      best = SeedPath{pf.prop, nullptr, nullptr, std::move(seek->keys), true,
+                      seek->count};
+    } else if (interrupted()) {
+      return std::nullopt;
+    }
+  }
+  return best;
+}
 
 /// Start-node candidates for one chain: either per-shard non-owning spans
 /// (index buckets or label buckets, one per storage shard, iterated lazily
@@ -500,6 +578,9 @@ struct SeedSet {
   /// list.
   std::vector<std::vector<NodeId>> owned_by_shard;
   bool full_scan = false;
+  /// The access path taken, for the plan span: `var:dict(prop,n)`,
+  /// `var:index(prop)`, `var:label`, `var:scan` or `var:bound`.
+  std::string access;
 
   size_t SeedCount(const PropertyGraph& graph) const {
     if (full_scan) return graph.node_count();
@@ -736,124 +817,85 @@ class Matcher {
     rp.nodes.reserve(part.nodes.size());
     rp.rels.reserve(part.rels.size());
     for (const NodePattern& n : part.nodes) {
-      rp.nodes.push_back(ResolveNode(graph_, vars, n));
+      rp.nodes.push_back(ResolvePattern(graph_, vars, pushdown_, n));
     }
     for (const RelPattern& r : part.rels) {
-      rp.rels.push_back(ResolveRel(graph_, vars, r));
+      rp.rels.push_back(ResolvePattern(graph_, vars, pushdown_, r));
     }
     return rp;
   }
 
-  /// Evaluate the pushed-down filters of `var` on the binding.
-  bool PassesFilters(const std::string& var, const Binding& binding) const {
-    if (var.empty()) return true;
-    auto it = pushdown_.find(var);
-    if (it == pushdown_.end()) return true;
-    for (const CypherExpr* f : it->second) {
-      auto v = eval_.Eval(*f, binding);
+  /// The pushed-down filters of a just-bound node / edge variable. A
+  /// string filter decides on the entity's cell of its property; an
+  /// evaluation error reads as false.
+  template <class Pattern>
+  bool PassesFilters(const Resolved<Pattern>& r, uint64_t id,
+                     const Binding& binding) const {
+    if (r.filters == nullptr) return true;
+    auto [bucket, pos] = Resolved<Pattern>::Locate(graph_, id);
+    for (const PushedFilter& f : *r.filters) {
+      if (f.strings.has_value()) {
+        const storage::Column* col = Resolved<Pattern>::Slice(
+            graph_, graph_.ShardOf(id), bucket, f.prop_id);
+        if (f.strings->OnCell(col, pos) == f.negate) return false;
+        continue;
+      }
+      auto v = eval_.Eval(*f.expr, binding);
       if (!v.ok() || !CypherEvaluator::Truthy(v.value())) return false;
     }
     return true;
   }
 
-  /// Access-path selection for the chain's start node. Competing index
-  /// probes (inline properties and indexed WHERE equality / IN filters) are
-  /// ranked by exact per-value cardinality (summed over every storage
-  /// shard, so the ranking stays exact on sharded graphs) and the cheapest
-  /// wins. Candidates still
-  /// pass through ResolvedNode::Matches at visit time, so the winning
-  /// probe needs no re-filtering here, and single-value probes stay lazily
-  /// iterated per-shard spans.
+  /// Access-path selection for the chain's start node (BestSeedPath).
+  /// Candidates still pass through ResolvedNode::Matches and the pushed
+  /// filters at visit time, so the winning probe needs no re-filtering
+  /// here, and single-value probes stay lazily iterated per-shard spans.
   SeedSet SelectSeeds(const ResolvedNode& rnode, const Binding& binding) {
     const NodePattern& pat = *rnode.pat;
     SeedSet seeds;
+    seeds.access = pat.var + ":";
     if (NodeBound(binding, rnode)) {
       seeds.owned.push_back(BoundNode(binding, rnode));
+      seeds.access += "bound";
       return seeds;
     }
     if (pat.label.empty()) {
       seeds.full_scan = true;
+      seeds.access += "scan";
       return seeds;
     }
-
-    // One probe-able access path: an indexed property plus the value(s) an
-    // equality / IN constraint allows for it. Ranking uses ProbeCountNodes
-    // (a per-shard bucket-size sum) without materializing anything; only
-    // the winner's buckets become seed spans.
-    struct Option {
-      std::string_view prop;
-      const Value* eq = nullptr;
-      const std::vector<Value>* multi = nullptr;
-      size_t count = 0;
-    };
-    SmallVector<Option, 4> options;
-    for (const PropConstraint& pc : pat.props) {
-      if (!graph_.HasNodeIndex(pat.label, pc.key)) continue;
-      Option o;
-      o.prop = pc.key;
-      o.eq = &pc.value;
-      o.count = graph_.ProbeCountNodes(pat.label, pc.key, pc.value);
-      options.push_back(o);
-    }
-    // Index seek from WHERE predicates (Neo4j-style): an indexed equality /
-    // IN filter on this variable beats a label scan.
-    if (!pat.var.empty()) {
-      auto fit = pushdown_.find(pat.var);
-      if (fit != pushdown_.end()) {
-        for (const CypherExpr* f : fit->second) {
-          Option o;
-          if (f->kind == CypherExprKind::kBinary &&
-              f->op == CypherBinaryOp::kEq &&
-              f->lhs->kind == CypherExprKind::kPropRef &&
-              f->rhs->kind == CypherExprKind::kLiteral) {
-            o.prop = f->lhs->prop;
-            o.eq = &f->rhs->literal;
-          } else if (f->kind == CypherExprKind::kInList && !f->negated &&
-                     f->lhs->kind == CypherExprKind::kPropRef) {
-            o.prop = f->lhs->prop;
-            o.multi = &f->in_list;
-          }
-          if (o.prop.empty() || !graph_.HasNodeIndex(pat.label, o.prop)) {
-            continue;
-          }
-          if (o.eq != nullptr) {
-            o.count = graph_.ProbeCountNodes(pat.label, o.prop, *o.eq);
-          } else {
-            for (const Value& v : *o.multi) {
-              o.count += graph_.ProbeCountNodes(pat.label, o.prop, v);
-            }
-          }
-          options.push_back(o);
-        }
+    auto best = BestSeedPath(pat, rnode.filters, graph_, [&] {
+      return (options_.cancel != nullptr &&
+              options_.cancel->load(std::memory_order_relaxed)) ||
+             deadline_.Expired();
+    });
+    if (!best.has_value()) return seeds;  // interrupted: no seeds
+    if (best->count == static_cast<size_t>(-1)) {
+      for (size_t s = 0; s < graph_.shard_count(); ++s) {
+        seeds.spans.push_back(&graph_.NodesWithLabel(pat.label, s));
       }
+      seeds.access += "label";
+      return seeds;
     }
-
-    if (!options.empty()) {
-      const Option* best = &options[0];
-      for (const Option& o : options) {
-        if (o.count < best->count) best = &o;
+    seeds.access += best->is_seek ? "dict(" + std::string(best->prop) + "," +
+                                        std::to_string(best->seek.size()) + ")"
+                                  : "index(" + std::string(best->prop) + ")";
+    if (best->eq != nullptr) {
+      for (size_t s = 0; s < graph_.shard_count(); ++s) {
+        seeds.spans.push_back(
+            &graph_.ProbeNodes(pat.label, best->prop, *best->eq, s));
       }
-      if (best->eq != nullptr) {
+    } else {
+      for (const Value& v : best->is_seek ? best->seek : *best->multi) {
         for (size_t s = 0; s < graph_.shard_count(); ++s) {
-          seeds.spans.push_back(
-              &graph_.ProbeNodes(pat.label, best->prop, *best->eq, s));
-        }
-      } else {
-        for (const Value& v : *best->multi) {
-          for (size_t s = 0; s < graph_.shard_count(); ++s) {
-            for (NodeId id : graph_.ProbeNodes(pat.label, best->prop, v, s)) {
-              seeds.owned.push_back(id);
-            }
+          for (NodeId id : graph_.ProbeNodes(pat.label, best->prop, v, s)) {
+            seeds.owned.push_back(id);
           }
         }
-        std::sort(seeds.owned.begin(), seeds.owned.end());
-        seeds.owned.erase(std::unique(seeds.owned.begin(), seeds.owned.end()),
-                          seeds.owned.end());
       }
-      return seeds;
-    }
-    for (size_t s = 0; s < graph_.shard_count(); ++s) {
-      seeds.spans.push_back(&graph_.NodesWithLabel(pat.label, s));
+      std::sort(seeds.owned.begin(), seeds.owned.end());
+      seeds.owned.erase(std::unique(seeds.owned.begin(), seeds.owned.end()),
+                        seeds.owned.end());
     }
     return seeds;
   }
@@ -881,10 +923,10 @@ class Matcher {
     auto visit = [&](NodeId seed) {
       if (seed_filter != nullptr && seed_filter->count(seed) == 0) return true;
       if (stats_ != nullptr) ++stats_->seed_candidates;
-      if (!rseed.Matches(graph_.node(seed), graph_)) return true;
+      if (!rseed.Matches(seed, graph_)) return true;
       if (bindable) {
         binding.nodes[rseed.var_slot] = seed;
-        if (!PassesFilters(rseed.pat->var, binding)) return true;
+        if (!PassesFilters(rseed, seed, binding)) return true;
       }
       return Extend(rp, reversed, part_idx, 0, seed, binding);
     };
@@ -964,9 +1006,9 @@ class Matcher {
   /// edges), the full list otherwise.
   const std::vector<EdgeId>& ExpansionEdges(NodeId node, bool reversed,
                                             const ResolvedRel& rrel) const {
-    if (rrel.has_type) {
-      return reversed ? graph_.InEdges(node, rrel.type_id)
-                      : graph_.OutEdges(node, rrel.type_id);
+    if (rrel.has_bucket) {
+      return reversed ? graph_.InEdges(node, rrel.bucket_id)
+                      : graph_.OutEdges(node, rrel.bucket_id);
     }
     return reversed ? graph_.InEdges(node) : graph_.OutEdges(node);
   }
@@ -985,7 +1027,7 @@ class Matcher {
       for (EdgeId eid : ExpansionEdges(node, reversed, rrel)) {
         if (stats_ != nullptr) ++stats_->edges_traversed;
         const Edge& e = graph_.edge(eid);
-        if (!rrel.Matches(e, graph_)) continue;
+        if (!rrel.Matches(eid, graph_)) continue;
         if (Contains(binding.used_edges, eid)) continue;
         if (!rel.var.empty() && EdgeBound(binding, rrel) &&
             BoundEdge(binding, rrel) != eid) {
@@ -1003,8 +1045,8 @@ class Matcher {
         }
         binding.used_edges.push_back(eid);
         bool pass =
-            (!node_was_new || PassesFilters(next_rnode.pat->var, binding)) &&
-            (!edge_was_new || PassesFilters(rel.var, binding));
+            (!node_was_new || PassesFilters(next_rnode, next, binding)) &&
+            (!edge_was_new || PassesFilters(rrel, eid, binding));
         bool keep_going = true;
         if (pass) {
           keep_going = Extend(rp, reversed, part_idx, idx + 1, next, binding);
@@ -1039,7 +1081,7 @@ class Matcher {
         (depth > 0 || min_len == 0)) {
       bool node_was_new = BindNode(next_rnode, cur, binding);
       bool keep_going = true;
-      if (!node_was_new || PassesFilters(next_rnode.pat->var, binding)) {
+      if (!node_was_new || PassesFilters(next_rnode, cur, binding)) {
         keep_going = Extend(rp, reversed, part_idx, idx + 1, cur, binding);
       }
       if (node_was_new) binding.nodes[next_rnode.var_slot] = kInvalidNode;
@@ -1049,7 +1091,7 @@ class Matcher {
     for (EdgeId eid : ExpansionEdges(cur, reversed, rrel)) {
       if (stats_ != nullptr) ++stats_->edges_traversed;
       const Edge& e = graph_.edge(eid);
-      if (!rrel.Matches(e, graph_)) continue;
+      if (!rrel.Matches(eid, graph_)) continue;
       if (Contains(binding.used_edges, eid)) continue;
       binding.used_edges.push_back(eid);
       bool keep_going = VarlenDfs(rp, reversed, part_idx, idx, min_len,
@@ -1063,7 +1105,7 @@ class Matcher {
 
   bool AdmitNode(NodeId id, const ResolvedNode& rnode,
                  const Binding& binding) const {
-    if (!rnode.Matches(graph_.node(id), graph_)) return false;
+    if (!rnode.Matches(id, graph_)) return false;
     if (NodeBound(binding, rnode) && BoundNode(binding, rnode) != id) {
       return false;
     }
@@ -1100,6 +1142,27 @@ class Matcher {
   DeadlinePoller deadline_;  // polled with the cancel flag / LIMIT budget
 };
 
+/// Split WHERE into single-variable conjuncts, compiled and pushed into
+/// matching, and residual conjuncts (appended to `residual`, evaluated on
+/// complete bindings).
+PushdownFilters SplitWhere(const CypherQuery& query,
+                           const PropertyGraph& graph,
+                           std::vector<const CypherExpr*>* residual) {
+  std::vector<const CypherExpr*> conjuncts;
+  SplitConjuncts(query.where.get(), &conjuncts);
+  PushdownFilters pushdown;
+  for (const CypherExpr* c : conjuncts) {
+    std::unordered_set<std::string> cvars;
+    CollectVars(*c, &cvars);
+    if (cvars.size() == 1) {
+      pushdown[*cvars.begin()].push_back(CompilePushedFilter(*c, graph));
+    } else {
+      residual->push_back(c);
+    }
+  }
+  return pushdown;
+}
+
 /// Morsel-driven work-stealing execution: each shard's top-level seed list
 /// is carved into fixed-size morsels (MatchOptions::morsel_size seed
 /// positions) laid out shard-major on per-worker work-stealing deques
@@ -1122,10 +1185,7 @@ Status RunMorselParallel(const CypherQuery& query, const PropertyGraph& graph,
   std::vector<size_t> counts(n_shards, 0);
   for (size_t s = 0; s < n_shards; ++s) {
     if (top_seeds.full_scan) {
-      // Seeds of shard s are ids s, s + n, s + 2n, ... below node_count.
-      counts[s] = graph.node_count() > s
-                      ? (graph.node_count() - 1 - s) / n_shards + 1
-                      : 0;
+      counts[s] = storage::StrideCount(graph.node_count(), s, n_shards);
     } else if (!top_seeds.spans.empty()) {
       counts[s] = top_seeds.spans[s]->size();
     } else if (!top_seeds.owned_by_shard.empty()) {
@@ -1133,25 +1193,10 @@ Status RunMorselParallel(const CypherQuery& query, const PropertyGraph& graph,
     }
   }
 
-  struct Morsel {
-    int shard;
-    size_t lo, hi;
-  };
-  std::vector<Morsel> morsels;
-  size_t morsel_size = static_cast<size_t>(std::max(1, options.morsel_size));
-  for (size_t s = 0; s < n_shards; ++s) {
-    for (size_t lo = 0; lo < counts[s]; lo += morsel_size) {
-      morsels.push_back({static_cast<int>(s), lo,
-                         std::min(lo + morsel_size, counts[s])});
-    }
-  }
+  std::vector<storage::Morsel> morsels =
+      storage::CarveMorsels(counts, options.morsel_size);
   if (morsels.empty()) return Status::OK();
-
-  struct MorselRun {
-    storage::WorkerRows rs;
-    Status error = Status::OK();
-  };
-  std::vector<MorselRun> runs(morsels.size());
+  std::vector<storage::MorselRun> runs(morsels.size());
   storage::ShardRowBudget budget(query.distinct, query.limit);
 
   size_t workers = std::min<size_t>(
@@ -1170,15 +1215,15 @@ Status RunMorselParallel(const CypherQuery& query, const PropertyGraph& graph,
          m = queues.Next(w, &stolen)) {
       ++ws->morsels_executed;
       if (stolen) ++ws->morsels_stolen;
-      MorselRun& run = runs[m];
+      storage::MorselRun& run = runs[m];
       RowSink sink(query, eval, residual, query.distinct,
                    /*partition_distinct=*/query.distinct, budget.local_cap,
                    budget.shared_claimed(), budget.shared_cap, ws, &run.rs);
       Matcher matcher(graph, options, pushdown, eval, ws, sink);
       matcher.SharePreparedParts(prepared);
       matcher.SetTopSeeds(&top_seeds);
-      matcher.RestrictTopSeedsToMorsel(morsels[m].shard, morsels[m].lo,
-                                       morsels[m].hi);
+      matcher.RestrictTopSeedsToMorsel(static_cast<int>(morsels[m].shard),
+                                       morsels[m].lo, morsels[m].hi);
       if (budget.shared) {
         matcher.SetSharedRowBudget(&budget.claimed, budget.shared_cap);
       }
@@ -1230,6 +1275,9 @@ Result<GraphBlockResult> RunPipeline(
   size_t local_cap =
       limited ? static_cast<size_t>(query.limit) : static_cast<size_t>(-1);
 
+  MatchStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  const MatchStats before = *stats;
   storage::WorkerRows serial_rs;
   RowSink sink(query, eval, residual, query.distinct,
                /*partition_distinct=*/false, local_cap,
@@ -1241,25 +1289,26 @@ Result<GraphBlockResult> RunPipeline(
   // is skipped (runtime evaluation errors are suppressed past a satisfied
   // limit, and 0 is satisfied up front).
   RAPTOR_RETURN_NOT_OK(matcher.PrepareParts(query.patterns, vars));
-  if (query.limit != 0) {
+  // The plan span: the top-level seed access path, and the seed visits
+  // and dictionary strings the whole search spent.
+  obs::ScopedSpan plan_span(options.trace, "plan");
+  if (query.limit != 0 && !query.patterns.empty()) {
     Binding binding(vars);
-    // Fan out over morsels only when it can pay off: a sharded graph, more
-    // than one worker allowed, no small LIMIT (the serial early-exit path
-    // finishes those in a handful of seed visits), and a seed set big
-    // enough to amortize dispatch. The set is materialized once here and
-    // shared by every worker; when the threshold rejects it, the set was
-    // by definition small and the serial matcher re-derives it cheaply.
+    // The top-level seed set is materialized once here and shared by the
+    // serial matcher or every morsel worker. Fan out over morsels only
+    // when it can pay off: a sharded graph, more than one worker allowed,
+    // no small LIMIT (the serial early-exit path finishes those in a
+    // handful of seed visits), and a seed set big enough to amortize
+    // dispatch.
+    SeedSet top_seeds = matcher.PlanTopSeeds(binding);
+    obs::Note(plan_span.get(), "seed", top_seeds.access);
+    obs::Finish(plan_span.get());
     bool parallel =
-        !query.patterns.empty() && options.parallel_shards > 1 &&
-        graph.shard_count() > 1 &&
+        options.parallel_shards > 1 && graph.shard_count() > 1 &&
         !(limited &&
-          query.limit < static_cast<long long>(options.parallel_min_limit));
-    SeedSet top_seeds;
-    if (parallel) {
-      top_seeds = matcher.PlanTopSeeds(binding);
-      parallel = top_seeds.SeedCount(graph) >=
-                 static_cast<size_t>(std::max(0, options.parallel_min_seeds));
-    }
+          query.limit < static_cast<long long>(options.parallel_min_limit)) &&
+        top_seeds.SeedCount(graph) >=
+            static_cast<size_t>(std::max(0, options.parallel_min_seeds));
     if (parallel) {
       // Pre-split any materialized seed union (multi-value probes, bound
       // vars) into per-shard sub-lists so workers skip the skip-scan.
@@ -1268,10 +1317,24 @@ Result<GraphBlockResult> RunPipeline(
                                              vars, pushdown, residual, matcher,
                                              top_seeds, &result));
     } else {
+      matcher.SetTopSeeds(&top_seeds);
       matcher.Run(binding);
       RAPTOR_RETURN_NOT_OK(sink.error());
       result.rows.Adopt(std::move(serial_rs.rows));
     }
+  }
+  if (plan_span.get() != nullptr) {
+    size_t checked = 0;
+    for (const auto& [var, filters] : pushdown) {
+      for (const PushedFilter& f : filters) {
+        if (f.strings.has_value()) checked += f.strings->strings_checked();
+      }
+    }
+    plan_span.get()->Set("seed_candidates",
+                         static_cast<int64_t>(stats->seed_candidates -
+                                              before.seed_candidates));
+    plan_span.get()->Set("dict_strings_checked",
+                         static_cast<int64_t>(checked));
   }
   if (options.cancel != nullptr &&
       options.cancel->load(std::memory_order_relaxed)) {
@@ -1323,22 +1386,8 @@ Result<GraphBlockResult> ExecuteCypherBlocks(const CypherQuery& query,
 
   CypherEvaluator eval(graph, vars);
 
-  // Split WHERE into single-variable conjuncts (pushed into matching) and
-  // residual conjuncts (evaluated on complete bindings).
-  std::vector<const CypherExpr*> conjuncts;
-  SplitConjuncts(query.where.get(), &conjuncts);
-  PushdownFilters pushdown;
   std::vector<const CypherExpr*> residual;
-  for (const CypherExpr* c : conjuncts) {
-    std::unordered_set<std::string> cvars;
-    CollectVars(*c, &cvars);
-    if (cvars.size() == 1) {
-      pushdown[*cvars.begin()].push_back(c);
-    } else {
-      residual.push_back(c);
-    }
-  }
-
+  PushdownFilters pushdown = SplitWhere(query, graph, &residual);
   return RunPipeline(query, graph, options, stats, vars, pushdown, residual,
                      eval);
 }
@@ -1422,70 +1471,27 @@ Result<GraphBlockResult> GraphDatabase::QueryBlocks(
 
 namespace {
 
-/// Seed-cardinality estimate for `pat` as a chain start: the cheapest
-/// probe-able access path among indexed inline properties and single-var
-/// WHERE equality / IN filters (the exact rank SelectSeeds computes), the
-/// label bucket when nothing probes, the whole graph when unlabeled.
-double EstimateSeedCount(
-    const NodePattern& pat, const PropertyGraph& graph,
-    const std::vector<const CypherExpr*>* var_filters) {
+/// Seed-cardinality estimate for `pat` as a chain start: the count of
+/// the access path SelectSeeds would take (BestSeedPath), the label bucket
+/// when nothing beats it, the whole graph when unlabeled.
+double EstimateSeedCount(const NodePattern& pat, const PropertyGraph& graph,
+                         const PushdownFilters& pushdown) {
   if (pat.label.empty()) return static_cast<double>(graph.node_count());
-  size_t best = static_cast<size_t>(-1);
-  for (const PropConstraint& pc : pat.props) {
-    if (!graph.HasNodeIndex(pat.label, pc.key)) continue;
-    best = std::min(best, graph.ProbeCountNodes(pat.label, pc.key, pc.value));
+  auto best = BestSeedPath(pat, FiltersOf(pushdown, pat.var), graph,
+                           [] { return false; });
+  if (best->count != static_cast<size_t>(-1)) {
+    return static_cast<double>(best->count);
   }
-  if (var_filters != nullptr) {
-    for (const CypherExpr* f : *var_filters) {
-      std::string_view prop;
-      size_t count = 0;
-      if (f->kind == CypherExprKind::kBinary && f->op == CypherBinaryOp::kEq &&
-          f->lhs->kind == CypherExprKind::kPropRef &&
-          f->rhs->kind == CypherExprKind::kLiteral &&
-          graph.HasNodeIndex(pat.label, f->lhs->prop)) {
-        prop = f->lhs->prop;
-        count = graph.ProbeCountNodes(pat.label, prop, f->rhs->literal);
-      } else if (f->kind == CypherExprKind::kInList && !f->negated &&
-                 f->lhs->kind == CypherExprKind::kPropRef &&
-                 graph.HasNodeIndex(pat.label, f->lhs->prop)) {
-        prop = f->lhs->prop;
-        for (const Value& v : f->in_list) {
-          count += graph.ProbeCountNodes(pat.label, prop, v);
-        }
-      } else {
-        continue;
-      }
-      best = std::min(best, count);
-    }
-  }
-  if (best != static_cast<size_t>(-1)) return static_cast<double>(best);
-  size_t labeled = 0;
-  for (size_t s = 0; s < graph.shard_count(); ++s) {
-    labeled += graph.NodesWithLabel(pat.label, s).size();
-  }
-  return static_cast<double>(labeled);
+  return static_cast<double>(graph.LabelCount(pat.label));
 }
 
 }  // namespace
 
 double EstimateCypherCost(const CypherQuery& query, const PropertyGraph& graph,
                           const MatchOptions& options) {
-  // Single-variable WHERE conjuncts indexed by variable — the same pushdown
-  // split ExecuteCypherBlocks performs before matching.
-  std::vector<const CypherExpr*> conjuncts;
-  SplitConjuncts(query.where.get(), &conjuncts);
-  std::unordered_map<std::string, std::vector<const CypherExpr*>> pushdown;
-  for (const CypherExpr* c : conjuncts) {
-    std::unordered_set<std::string> cvars;
-    CollectVars(*c, &cvars);
-    if (cvars.size() == 1) pushdown[*cvars.begin()].push_back(c);
-  }
-  auto filters_for = [&](const NodePattern& pat)
-      -> const std::vector<const CypherExpr*>* {
-    if (pat.var.empty()) return nullptr;
-    auto it = pushdown.find(pat.var);
-    return it == pushdown.end() ? nullptr : &it->second;
-  };
+  // The same pushdown split ExecuteCypherBlocks performs before matching.
+  std::vector<const CypherExpr*> residual;
+  PushdownFilters pushdown = SplitWhere(query, graph, &residual);
 
   double total = 0.0;
   for (const PatternPart& part : query.patterns) {
@@ -1500,10 +1506,8 @@ double EstimateCypherCost(const CypherQuery& query, const PropertyGraph& graph,
     }
     // The matcher seeds from whichever chain end is cheaper (ChooseDirection
     // re-resolves per binding; on the empty binding it is this static rank).
-    double fwd = EstimateSeedCount(part.nodes.front(), graph,
-                                   filters_for(part.nodes.front()));
-    double rev = EstimateSeedCount(part.nodes.back(), graph,
-                                   filters_for(part.nodes.back()));
+    double fwd = EstimateSeedCount(part.nodes.front(), graph, pushdown);
+    double rev = EstimateSeedCount(part.nodes.back(), graph, pushdown);
     total += std::min(fwd, rev) * (1.0 + radius);
   }
   return total;

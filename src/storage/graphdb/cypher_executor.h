@@ -9,17 +9,18 @@
 //    completed binding streams straight into the row sink;
 //  * the more-constrained endpoint of a chain seeds the search (bound
 //    variable > cheapest index probe > label scan > full scan); competing
-//    probes (inline properties, indexed WHERE equality / IN) are ranked by
-//    exact per-value cardinality;
+//    probes (inline properties, indexed WHERE equality / IN, dictionary
+//    seeks of indexed string filters) are ranked by exact per-value
+//    cardinality;
 //  * typed relationships expand through the per-type adjacency groups;
 //    variable-length relationships expand by bounded DFS, and relationship
 //    uniqueness holds across the whole MATCH (Cypher's
 //    relationship-isomorphism semantics);
 //  * inline property constraints and WHERE property references read the
-//    graph's frozen per-(shard × label) columns (storage/columnar.h):
-//    string literals resolve to a dictionary id once per query and compare
-//    as uint32s. Columns that cannot represent a value exactly (doubles,
-//    NULLs, mixed types) fall back to the PropertyMap per predicate;
+//    graph's frozen per-(shard × label) columns (storage/columnar.h), the
+//    only stored copy of a property; text-literal string predicates decide
+//    through the shared kernel (storage/string_predicate.h), once per
+//    dictionary string per query;
 //  * single-variable WHERE conjuncts run as soon as their variable binds,
 //    IN lists probe a hashed set, and the rest of WHERE runs on complete
 //    bindings. The row sink applies DISTINCT through an incremental

@@ -35,8 +35,6 @@ NodeId PropertyGraph::AddNode(std::string label, PropertyMap props) {
   Node n;
   n.id = id;
   n.label_id = labels_.Intern(label);
-  n.label = std::move(label);
-  n.props = std::move(props);
   if (n.label_id >= shard.by_label.size()) {
     shard.by_label.resize(n.label_id + 1);
   }
@@ -46,15 +44,14 @@ NodeId PropertyGraph::AddNode(std::string label, PropertyMap props) {
   if (n.label_id >= shard.node_cols.size()) {
     shard.node_cols.resize(n.label_id + 1);
   }
-  FreezeProps(shard.node_cols[n.label_id], n.label_pos, n.props);
+  FreezeProps(shard.node_cols[n.label_id], n.label_pos, props);
   // Maintain this shard's slice of any matching index.
   for (auto& [key, index] : shard.node_indexes) {
     if (static_cast<uint32_t>(key >> 32) != n.label_id) continue;
-    uint32_t prop_id = static_cast<uint32_t>(key);
-    const Value* v = n.FindProp(index_props_.Name(prop_id));
-    if (v != nullptr) index[*v].push_back(id);
+    auto it = props.find(index_props_.Name(static_cast<uint32_t>(key)));
+    if (it != props.end()) index[it->second].push_back(id);
   }
-  shard.nodes.push_back(std::move(n));
+  shard.nodes.push_back(n);
   shard.out_edges.emplace_back();
   shard.in_edges.emplace_back();
   shard.out_by_type.emplace_back();
@@ -70,8 +67,6 @@ EdgeId PropertyGraph::AddEdge(NodeId src, NodeId dst, std::string type,
   e.src = src;
   e.dst = dst;
   e.type_id = edge_types_.Intern(type);
-  e.type = std::move(type);
-  e.props = std::move(props);
   Shard& src_shard = shards_[layout_.ShardOf(src)];
   Shard& dst_shard = shards_[layout_.ShardOf(dst)];
   src_shard.out_edges[layout_.LocalOf(src)].push_back(id);
@@ -84,8 +79,8 @@ EdgeId PropertyGraph::AddEdge(NodeId src, NodeId dst, std::string type,
     edge_shard.edge_cols.resize(e.type_id + 1);
   }
   e.type_pos = edge_shard.edges_per_type[e.type_id]++;
-  FreezeProps(edge_shard.edge_cols[e.type_id], e.type_pos, e.props);
-  edge_shard.edges.push_back(std::move(e));
+  FreezeProps(edge_shard.edge_cols[e.type_id], e.type_pos, props);
+  edge_shard.edges.push_back(e);
   return id;
 }
 
@@ -98,18 +93,53 @@ void PropertyGraph::FreezeProps(storage::ColumnGroup& group, size_t pos,
   }
 }
 
-uint32_t PropertyGraph::LookupPropDict(uint32_t prop_id,
-                                       std::string_view text) const {
-  if (prop_id == kNoSymbol || prop_id >= prop_dicts_.size()) {
-    return storage::kNullDictId;
-  }
-  uint32_t id = prop_dicts_[prop_id].Lookup(text);
-  return id == kNoSymbol ? storage::kNullDictId : id;
+std::optional<Value> PropertyGraph::CellOf(const storage::Column* col,
+                                          size_t pos) {
+  Value v;
+  if (col == nullptr || !col->CellAt(pos, &v)) return std::nullopt;
+  return v;
 }
 
-std::string_view PropertyGraph::PropDictName(uint32_t prop_id,
-                                             uint32_t dict_id) const {
-  return prop_dicts_[prop_id].Name(dict_id);
+std::optional<Value> PropertyGraph::NodeProp(NodeId id,
+                                             std::string_view name) const {
+  const Node& n = node(id);
+  return CellOf(NodeColumn(ShardOf(id), n.label_id, LookupPropName(name)),
+                n.label_pos);
+}
+
+std::optional<Value> PropertyGraph::EdgeProp(EdgeId id,
+                                             std::string_view name) const {
+  const Edge& e = edge(id);
+  return CellOf(EdgeColumn(ShardOf(id), e.type_id, LookupPropName(name)),
+                e.type_pos);
+}
+
+PropertyMap PropertyGraph::PropsOf(const storage::ColumnGroup* group,
+                                   size_t pos) const {
+  PropertyMap props;
+  if (group == nullptr) return props;
+  for (const auto& [prop_id, col] : group->columns()) {
+    if (auto v = CellOf(&col, pos)) {
+      props.emplace(std::string(prop_names_.Name(prop_id)), std::move(*v));
+    }
+  }
+  return props;
+}
+
+PropertyMap PropertyGraph::NodeProps(NodeId id) const {
+  const Node& n = node(id);
+  const Shard& s = shards_[ShardOf(id)];
+  return PropsOf(n.label_id < s.node_cols.size() ? &s.node_cols[n.label_id]
+                                                 : nullptr,
+                 n.label_pos);
+}
+
+PropertyMap PropertyGraph::EdgeProps(EdgeId id) const {
+  const Edge& e = edge(id);
+  const Shard& s = shards_[ShardOf(id)];
+  return PropsOf(
+      e.type_id < s.edge_cols.size() ? &s.edge_cols[e.type_id] : nullptr,
+      e.type_pos);
 }
 
 const storage::Column* PropertyGraph::NodeColumn(size_t shard,
@@ -171,6 +201,14 @@ const std::vector<NodeId>& PropertyGraph::NodesWithLabel(
   return label_id < s.by_label.size() ? s.by_label[label_id] : kNoNodes;
 }
 
+size_t PropertyGraph::LabelCount(std::string_view label) const {
+  size_t n = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    n += NodesWithLabel(label, s).size();
+  }
+  return n;
+}
+
 void PropertyGraph::CreateNodeIndex(std::string_view label,
                                     std::string_view prop) {
   uint32_t label_id = labels_.Intern(label);
@@ -183,8 +221,7 @@ void PropertyGraph::CreateNodeIndex(std::string_view label,
     }
     ValueIndex& index = shard.node_indexes[key];
     for (NodeId id : shard.by_label[label_id]) {
-      const Value* v = node(id).FindProp(prop);
-      if (v != nullptr) index[*v].push_back(id);
+      if (auto v = NodeProp(id, prop)) index[std::move(*v)].push_back(id);
     }
   }
 }

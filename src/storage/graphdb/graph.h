@@ -1,6 +1,8 @@
 // In-memory property graph, the storage unit of the embedded graph engine
-// that substitutes Neo4j. Nodes carry a label and a property map; edges
-// carry a type and a property map.
+// that substitutes Neo4j. Nodes carry a label and properties; edges carry
+// a type and properties. Properties are frozen into per-bucket columns
+// (storage/columnar.h), their only stored copy: a Node / Edge record holds
+// ids and its bucket position, and NodeProp / EdgeProp read a cell back.
 //
 // Hot-path design:
 //  * node labels, edge types, and indexed property names are interned into
@@ -10,8 +12,6 @@
 //    out/in-edge list;
 //  * equality indexes over (label, property) pairs are keyed by Value with
 //    a Compare()-consistent hash, so probes never stringify;
-//  * property maps use a transparent comparator, so FindProp(string_view)
-//    never allocates a key.
 //
 // Sharding: node, edge, adjacency, label-bucket and index storage is
 // partitioned into a power-of-two number of shards, hashed on entity id
@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -60,13 +61,6 @@ struct Node {
   /// Dense offset within the node's (shard × label) bucket — the cell
   /// position in every frozen column of that bucket.
   uint32_t label_pos = 0;
-  std::string label;
-  PropertyMap props;
-
-  const Value* FindProp(std::string_view name) const {
-    auto it = props.find(name);
-    return it == props.end() ? nullptr : &it->second;
-  }
 };
 
 struct Edge {
@@ -77,13 +71,6 @@ struct Edge {
   /// Dense offset within the edge's (shard × type) bucket — the cell
   /// position in every frozen column of that bucket.
   uint32_t type_pos = 0;
-  std::string type;
-  PropertyMap props;
-
-  const Value* FindProp(std::string_view name) const {
-    auto it = props.find(name);
-    return it == props.end() ? nullptr : &it->second;
-  }
 };
 
 class PropertyGraph {
@@ -125,6 +112,24 @@ class PropertyGraph {
     return edge_types_.Lookup(type);
   }
 
+  /// The label / edge type behind an interned id.
+  std::string_view LabelName(uint32_t label_id) const {
+    return labels_.Name(label_id);
+  }
+  std::string_view EdgeTypeName(uint32_t type_id) const {
+    return edge_types_.Name(type_id);
+  }
+
+  /// Property `name` of node / edge `id`, read from its frozen column;
+  /// nullopt when the entity does not carry it (an explicit NULL property
+  /// reads as Value::Null()).
+  std::optional<Value> NodeProp(NodeId id, std::string_view name) const;
+  std::optional<Value> EdgeProp(EdgeId id, std::string_view name) const;
+
+  /// Every property of node / edge `id`, rebuilt from the columns.
+  PropertyMap NodeProps(NodeId id) const;
+  PropertyMap EdgeProps(EdgeId id) const;
+
   /// All nodes with the given label. Precondition: shard_count() == 1
   /// (the sharded layout exposes per-shard buckets below).
   const std::vector<NodeId>& NodesWithLabel(std::string_view label) const;
@@ -133,6 +138,9 @@ class PropertyGraph {
   /// Precondition: shard < shard_count().
   const std::vector<NodeId>& NodesWithLabel(std::string_view label,
                                             size_t shard) const;
+
+  /// Nodes with the given label, summed over every shard.
+  size_t LabelCount(std::string_view label) const;
 
   /// Build an equality index on (label, prop) in every shard. No-op if
   /// already present.
@@ -182,8 +190,8 @@ class PropertyGraph {
 
   // --- Frozen columnar property storage (storage/columnar.h) ---------------
   // Every AddNode/AddEdge freezes the property map into per-(shard × label)
-  // / per-(shard × edge type) columns alongside the retained row form, so
-  // predicate loops can scan column slices. String cells dictionary-encode
+  // / per-(shard × edge type) columns, the only stored copy, so predicate
+  // loops can scan column slices. String cells dictionary-encode
   // against one dictionary per property name, global across shards and
   // buckets: a query literal is looked up once and compared as a uint32
   // everywhere.
@@ -193,15 +201,11 @@ class PropertyGraph {
     return prop_names_.Lookup(name);
   }
 
-  /// Dictionary id of `text` in property `prop_id`'s global dictionary, or
-  /// storage::kNullDictId when that exact string was never frozen for the
-  /// property. (kNullDictId doubles as the absent-cell sentinel, so eq
-  /// fast paths must treat a kNullDictId literal as "matches nothing".)
-  uint32_t LookupPropDict(uint32_t prop_id, std::string_view text) const;
-
-  /// The string behind a dictionary id. Precondition: `dict_id` came from
-  /// a cell of a frozen column of `prop_id`.
-  std::string_view PropDictName(uint32_t prop_id, uint32_t dict_id) const;
+  /// Property `prop_id`'s global string dictionary; nullptr when no entity
+  /// carries the property.
+  const StringInterner* PropDict(uint32_t prop_id) const {
+    return prop_id < prop_dicts_.size() ? &prop_dicts_[prop_id] : nullptr;
+  }
 
   /// Frozen column of (shard, label, prop) — nullptr when no node of that
   /// bucket carries the property. Cell positions are Node::label_pos.
@@ -256,6 +260,9 @@ class PropertyGraph {
 
   void FreezeProps(storage::ColumnGroup& group, size_t pos,
                    const PropertyMap& props);
+
+  static std::optional<Value> CellOf(const storage::Column* col, size_t pos);
+  PropertyMap PropsOf(const storage::ColumnGroup* group, size_t pos) const;
 
   StringInterner labels_;
   StringInterner edge_types_;

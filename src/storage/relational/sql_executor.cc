@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string_view>
 #include <unordered_map>
@@ -16,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "storage/shard_parallel.h"
+#include "storage/string_predicate.h"
 
 namespace raptor::sql {
 
@@ -100,7 +102,7 @@ class Evaluator {
                                   e.ToString());
         }
         return binder_.table(bc.value().alias_idx)
-            ->row(rid)[bc.value().col_idx];
+            ->Cell(rid, bc.value().col_idx);
       }
       case ExprKind::kUnaryNot: {
         auto inner = Eval(*e.lhs, tuple);
@@ -183,24 +185,25 @@ class Evaluator {
 };
 
 /// A single-table filter compiled against the table's frozen columnar
-/// storage (table.h / storage/columnar.h). Compilation recognizes
-/// `col op literal`, `literal op col` (op mirrored), non-negated
-/// `col IN (...)` with a type-homogeneous list, and `col [NOT] LIKE 'text'`
-/// on a string column; anything else — and every
-/// (shard, predicate) pair the frozen column cannot represent exactly
-/// (kMixed columns, double or NULL literals) — keeps Mode::kEval and runs
-/// through the row-path Evaluator unchanged. Modes bind per shard because
-/// column kinds can diverge across shards of a loosely-typed table.
+/// storage (table.h / storage/columnar.h). Compilation recognizes, under
+/// any number of NOTs:
+///  * text-literal string predicates — `col = 'text'` (either side),
+///    `col <> 'text'`, `col [NOT] LIKE 'text'`, `col [NOT] IN ('a', ...)` —
+///    decided by the shared string kernel (storage/string_predicate.h) on
+///    every shard, whatever the slice's kind;
+///  * `col op int` (op mirrored for `int op col`), non-negated int IN
+///    lists, and text range compares, on shards whose slice is usable.
+/// Anything else — and every (shard, predicate) pair the frozen column
+/// cannot represent exactly (kMixed slices, double or NULL literals) —
+/// keeps Mode::kEval and runs through the row-path Evaluator unchanged.
+/// Modes bind per shard because column kinds can diverge across shards of
+/// a loosely-typed table.
 ///
 /// Semantics mirror Value::Compare exactly: cross-kind comparisons fold
 /// to per-shard constants (numeric sorts before text, so an int cell is
-/// always < a text literal), a string literal absent from the column's
-/// dictionary can never equal a cell, string range predicates compare
-/// dictionary names (same sign as Value's text ordering), and an absent
-/// cell behaves as NULL (smaller than every non-null literal, equal to
-/// nothing). LIKE evaluates each dictionary string at most once per query
-/// and memoizes the verdict per dictionary id; an absent cell takes the
-/// row path's verdict on the text "NULL".
+/// always < a text literal), string range predicates compare dictionary
+/// names (same sign as Value's text ordering), and an absent cell behaves
+/// as NULL (smaller than every non-null literal, equal to nothing).
 class ColumnPredicate {
  public:
   /// Compile `f`, a single-table filter of `alias_idx`. Always returns a
@@ -210,46 +213,46 @@ class ColumnPredicate {
     ColumnPredicate p;
     const Table& table = *binder.table(alias_idx);
     p.shards_.resize(table.shard_count());
+    const Expr* e = &f;
+    while (e->kind == ExprKind::kUnaryNot) {
+      p.negate_ = !p.negate_;
+      e = e->lhs.get();
+    }
     BinaryOp op = BinaryOp::kEq;
     const Expr* colref = nullptr;
     const Value* lit = nullptr;
     bool in_list = false;
-    if (f.kind == ExprKind::kBinary) {
-      switch (f.op) {
+    if (e->kind == ExprKind::kBinary) {
+      switch (e->op) {
         case BinaryOp::kEq:
         case BinaryOp::kNe:
         case BinaryOp::kLt:
         case BinaryOp::kLe:
         case BinaryOp::kGt:
         case BinaryOp::kGe:
-          break;
         case BinaryOp::kLike:
         case BinaryOp::kNotLike:
-          // Only `col LIKE 'text'`: the pattern is the right operand.
-          if (f.lhs->kind != ExprKind::kColumnRef ||
-              f.rhs->kind != ExprKind::kLiteral || !f.rhs->literal.is_text()) {
-            return p;
-          }
           break;
         default:
           return p;
       }
-      if (f.lhs->kind == ExprKind::kColumnRef &&
-          f.rhs->kind == ExprKind::kLiteral) {
-        colref = f.lhs.get();
-        lit = &f.rhs->literal;
-        op = f.op;
-      } else if (f.rhs->kind == ExprKind::kColumnRef &&
-                 f.lhs->kind == ExprKind::kLiteral) {
-        colref = f.rhs.get();
-        lit = &f.lhs->literal;
-        op = Mirror(f.op);
+      if (e->lhs->kind == ExprKind::kColumnRef &&
+          e->rhs->kind == ExprKind::kLiteral) {
+        colref = e->lhs.get();
+        lit = &e->rhs->literal;
+        op = e->op;
+      } else if (e->rhs->kind == ExprKind::kColumnRef &&
+                 e->lhs->kind == ExprKind::kLiteral &&
+                 e->op != BinaryOp::kLike && e->op != BinaryOp::kNotLike) {
+        colref = e->rhs.get();
+        lit = &e->lhs->literal;
+        op = Mirror(e->op);
       } else {
         return p;
       }
-    } else if (f.kind == ExprKind::kInList && !f.negated &&
-               f.lhs->kind == ExprKind::kColumnRef) {
-      colref = f.lhs.get();
+    } else if (e->kind == ExprKind::kInList &&
+               e->lhs->kind == ExprKind::kColumnRef) {
+      colref = e->lhs.get();
       in_list = true;
     } else {
       return p;
@@ -257,73 +260,75 @@ class ColumnPredicate {
     auto bc = binder.Resolve(*colref);
     if (!bc.ok() || bc.value().alias_idx != alias_idx) return p;
     int col_idx = bc.value().col_idx;
-    bool lit_int = false;
-    bool like = op == BinaryOp::kLike || op == BinaryOp::kNotLike;
+    p.col_idx_ = col_idx;
+    p.op_ = op;
+    // The index probes BestAccessPath ranks: an equality with any literal
+    // and a positive IN list.
+    if (!p.negate_ && in_list && !e->negated) p.index_in_ = &e->in_list;
+    if (!p.negate_ && !in_list && op == BinaryOp::kEq) p.index_eq_ = lit;
+    // Text-literal string predicates: the shared kernel, on every shard.
+    using StrOp = storage::StringPredicate::Op;
+    std::vector<std::string> needles;
+    std::optional<StrOp> str_op;
     if (in_list) {
-      bool all_int = !f.in_list.empty();
-      bool all_text = !f.in_list.empty();
-      for (const Value& v : f.in_list) {
-        all_int = all_int && v.is_int();
+      bool all_text = !e->in_list.empty();
+      for (const Value& v : e->in_list) {
         all_text = all_text && v.is_text();
+        needles.push_back(v.ToString());
       }
-      if (!all_int && !all_text) return p;  // mixed/empty list: row path
-      if (all_int) {
-        for (const Value& v : f.in_list) p.int_set_.insert(v.AsInt());
-      } else {
-        for (const Value& v : f.in_list) {
-          uint32_t id = table.LookupColumnDict(col_idx, v.AsText());
-          if (id != kNullDictId) p.dict_set_.insert(id);
-        }
+      if (all_text) {
+        str_op = StrOp::kIn;
+        p.negate_ = p.negate_ != e->negated;
       }
-      lit_int = all_int;
+    } else if (lit->is_text() && (op == BinaryOp::kEq || op == BinaryOp::kNe ||
+                                  op == BinaryOp::kLike ||
+                                  op == BinaryOp::kNotLike)) {
+      needles.push_back(lit->AsText());
+      bool like = op == BinaryOp::kLike || op == BinaryOp::kNotLike;
+      str_op = like ? StrOp::kLike : StrOp::kEq;
+      p.negate_ = p.negate_ != (op == BinaryOp::kNe || op == BinaryOp::kNotLike);
+    }
+    if (str_op.has_value()) {
+      p.strings_.emplace(*str_op, std::move(needles),
+                         &table.ColumnDict(col_idx));
+      for (size_t s = 0; s < table.shard_count(); ++s) {
+        p.shards_[s] = {Mode::kStr, &table.ColumnSlice(s, col_idx)};
+      }
+      return p;
+    }
+    if (op == BinaryOp::kLike || op == BinaryOp::kNotLike) return p;
+    bool lit_int = false;
+    if (in_list) {
+      // A NOT IN or a list that is not all-int stays on the row path.
+      if (e->negated) return p;
+      for (const Value& v : e->in_list) {
+        if (!v.is_int()) return p;
+        p.int_set_.insert(v.AsInt());
+      }
+      lit_int = true;
     } else if (lit->is_int()) {
       p.int_lit_ = lit->AsInt();
       lit_int = true;
-    } else if (like) {
-      p.str_lit_ = lit->AsText();
-      p.like_null_ = LikeMatch("NULL", p.str_lit_);
-      p.like_memo_size_ = table.ColumnDictSize(col_idx);
-      p.like_memo_ =
-          std::make_unique<std::atomic<uint8_t>[]>(p.like_memo_size_);
     } else if (lit->is_text()) {
-      p.str_lit_ = lit->AsText();
-      p.dict_lit_ = table.LookupColumnDict(col_idx, p.str_lit_);
+      p.str_lit_ = lit->AsText();  // a range compare
     } else {
       return p;  // double / NULL literal: row path per shard
     }
-    p.op_ = op;
-    p.table_ = &table;
-    p.col_idx_ = col_idx;
     for (size_t s = 0; s < table.shard_count(); ++s) {
       const storage::Column& col = table.ColumnSlice(s, col_idx);
       PerShard& ps = p.shards_[s];
       ps.col = &col;
       if (!col.usable()) continue;  // kMixed (or empty shard): row path
       bool col_int = col.kind() == storage::Column::Kind::kInt64;
-      if (like) {
-        // An int cell LIKEs its decimal rendering: row path.
-        if (!col_int) ps.mode = Mode::kDictLike;
-      } else if (in_list) {
-        // A value of the wrong kind never Compare-equals a cell, so a
-        // kind-mismatched homogeneous list matches nothing.
-        if (lit_int) {
-          ps.mode = col_int ? Mode::kIntIn : Mode::kNever;
-        } else {
-          ps.mode = !col_int && !p.dict_set_.empty() ? Mode::kDictIn
-                                                     : Mode::kNever;
-        }
+      if (in_list) {
+        // An int list never Compare-equals a text cell.
+        ps.mode = col_int ? Mode::kIntIn : Mode::kNever;
       } else if (lit_int) {
         // Text cells sort after every numeric literal.
         ps.mode = col_int ? Mode::kIntCmp : ConstMode(op, /*cell_cmp=*/1);
-      } else if (col_int) {
-        // Int cells sort before every text literal.
-        ps.mode = ConstMode(op, /*cell_cmp=*/-1);
-      } else if (op == BinaryOp::kEq) {
-        ps.mode = p.dict_lit_ == kNullDictId ? Mode::kNever : Mode::kDictEq;
-      } else if (op == BinaryOp::kNe) {
-        ps.mode = p.dict_lit_ == kNullDictId ? Mode::kAlways : Mode::kDictNe;
       } else {
-        ps.mode = Mode::kStrCmp;
+        // Int cells sort before every text literal.
+        ps.mode = col_int ? ConstMode(op, /*cell_cmp=*/-1) : Mode::kStrCmp;
       }
     }
     return p;
@@ -338,7 +343,44 @@ class ColumnPredicate {
   /// Row-semantics verdict for the cell at `pos` of `shard`.
   /// Precondition: compiled(shard).
   bool Matches(size_t shard, size_t pos) const {
-    const PerShard& ps = shards_[shard];
+    return Decide(shards_[shard], pos) != negate_;
+  }
+
+  /// The string kernel of a string predicate that a dictionary seek can
+  /// serve exactly (positive, false on absent cells, on a column whose
+  /// every slice is string-typed or empty); nullptr otherwise.
+  const storage::StringPredicate* Seekable() const {
+    if (!strings_.has_value() || negate_ || !strings_->Seekable()) {
+      return nullptr;
+    }
+    for (const PerShard& ps : shards_) {
+      if (!storage::StringPredicate::SeekableSlice(ps.col)) return nullptr;
+    }
+    return &*strings_;
+  }
+
+  int col_idx() const { return col_idx_; }  // -1: not a column filter
+  const Value* index_eq() const { return index_eq_; }
+  const std::vector<Value>* index_in() const { return index_in_; }
+
+ private:
+  enum class Mode : uint8_t {
+    kEval,    // not compiled for this shard: row-path Evaluator
+    kNever,   // constant false (kind mismatch)
+    kAlways,  // constant true (kind mismatch under Ne/ordering)
+    kIntCmp,  // int column `op` int literal
+    kIntIn,   // int column IN hashed int set
+    kStrCmp,  // string column `op` text literal via dictionary names
+    kStr,     // text-literal string predicate: the shared kernel
+  };
+
+  struct PerShard {
+    Mode mode = Mode::kEval;
+    const storage::Column* col = nullptr;
+  };
+
+  /// The verdict before negation.
+  bool Decide(const PerShard& ps, size_t pos) const {
     switch (ps.mode) {
       case Mode::kNever:
         return false;
@@ -355,51 +397,19 @@ class ColumnPredicate {
         if (!ps.col->IntAt(pos, &v)) return false;
         return int_set_.count(v) > 0;
       }
-      case Mode::kDictEq:
-        return ps.col->DictAt(pos) == dict_lit_;
-      case Mode::kDictNe:
-        return ps.col->DictAt(pos) != dict_lit_;
-      case Mode::kDictIn: {
-        uint32_t id = ps.col->DictAt(pos);
-        return id != kNullDictId && dict_set_.count(id) > 0;
-      }
       case Mode::kStrCmp: {
         uint32_t id = ps.col->DictAt(pos);
-        if (id == kNullDictId) return CmpHolds(op_, -1);  // NULL cell
-        int r = table_->ColumnDictName(col_idx_, id).compare(str_lit_);
+        if (id == storage::kNullDictId) return CmpHolds(op_, -1);  // NULL
+        int r = ps.col->DictName(id).compare(str_lit_);
         return CmpHolds(op_, r < 0 ? -1 : (r > 0 ? 1 : 0));
       }
-      case Mode::kDictLike: {
-        uint32_t id = ps.col->DictAt(pos);
-        bool like = id == kNullDictId ? like_null_ : LikeById(id);
-        return like != (op_ == BinaryOp::kNotLike);
-      }
+      case Mode::kStr:
+        return strings_->OnCell(ps.col, pos);
       case Mode::kEval:
         break;
     }
     return false;
   }
-
- private:
-  static constexpr uint32_t kNullDictId = storage::kNullDictId;
-
-  enum class Mode : uint8_t {
-    kEval,    // not compiled for this shard: row-path Evaluator
-    kNever,   // constant false (kind mismatch / dictionary miss)
-    kAlways,  // constant true (kind mismatch under Ne/ordering)
-    kIntCmp,  // int column `op` int literal
-    kIntIn,   // int column IN hashed int set
-    kDictEq,  // string column == interned dictionary id
-    kDictNe,  // string column != interned dictionary id
-    kDictIn,  // string column IN hashed dictionary-id set
-    kStrCmp,  // string column `op` text literal via dictionary names
-    kDictLike,  // string column [NOT] LIKE text, memoized per dict id
-  };
-
-  struct PerShard {
-    Mode mode = Mode::kEval;
-    const storage::Column* col = nullptr;
-  };
 
   /// `lit op col` rewritten as `col Mirror(op) lit`.
   static BinaryOp Mirror(BinaryOp op) {
@@ -431,35 +441,40 @@ class ColumnPredicate {
     return CmpHolds(op, cell_cmp) ? Mode::kAlways : Mode::kNever;
   }
 
-  /// LIKE verdict for dictionary id `id`, memoized (0 = not yet evaluated,
-  /// 1 = no match, 2 = match). Morsel workers share the memo through
-  /// relaxed atomics: two workers racing on one id both evaluate it and
-  /// store the same verdict.
-  bool LikeById(uint32_t id) const {
-    if (id >= like_memo_size_) {  // interned after compile: not memoized
-      return LikeMatch(table_->ColumnDictName(col_idx_, id), str_lit_);
-    }
-    uint8_t v = like_memo_[id].load(std::memory_order_relaxed);
-    if (v == 0) {
-      v = LikeMatch(table_->ColumnDictName(col_idx_, id), str_lit_) ? 2 : 1;
-      like_memo_[id].store(v, std::memory_order_relaxed);
-    }
-    return v == 2;
-  }
-
-  const Table* table_ = nullptr;
   int col_idx_ = -1;
+  const Value* index_eq_ = nullptr;
+  const std::vector<Value>* index_in_ = nullptr;
   BinaryOp op_ = BinaryOp::kEq;
+  bool negate_ = false;  // an odd number of NOTs / a negated operator
   int64_t int_lit_ = 0;
-  uint32_t dict_lit_ = kNullDictId;
   std::string_view str_lit_;  // borrowed from the statement's literal
   std::unordered_set<int64_t> int_set_;
-  std::unordered_set<uint32_t> dict_set_;
-  bool like_null_ = false;  // LIKE verdict on the text "NULL"
-  size_t like_memo_size_ = 0;
-  std::unique_ptr<std::atomic<uint8_t>[]> like_memo_;  // null unless LIKE
+  std::optional<storage::StringPredicate> strings_;
   std::vector<PerShard> shards_;
 };
+
+/// Apply alias `a`'s single-table filters to the row bound at `tuple[a]`,
+/// in conjunct order: each through its compiled column check where the
+/// row's shard has one (entry f of `compiled` compiles filters[f]; same
+/// verdict), else through the Evaluator.
+Result<bool> PassesFilters(const std::vector<const Expr*>& filters,
+                           const std::vector<ColumnPredicate>& compiled,
+                           const Table& table, size_t a, const Tuple& tuple,
+                           const Evaluator& eval, ExecStats* stats) {
+  size_t shard = table.ShardOf(tuple[a]);
+  size_t pos = table.LocalOf(tuple[a]);
+  for (size_t f = 0; f < filters.size(); ++f) {
+    if (compiled[f].compiled(shard)) {
+      if (stats != nullptr) ++stats->columnar_filter_rows;
+      if (!compiled[f].Matches(shard, pos)) return false;
+      continue;
+    }
+    auto v = eval.Eval(*filters[f], tuple);
+    if (!v.ok()) return v.status();
+    if (!Evaluator::Truthy(v.value())) return false;
+  }
+  return true;
+}
 
 /// Which aliases an expression references.
 void CollectAliases(const Expr& e, const Binder& binder,
@@ -503,58 +518,59 @@ struct Conjunct {
 };
 
 /// An index access path of one alias: its cheapest indexed `col = literal`
-/// or non-negated `col IN (...)` conjunct, with the exact candidate count
-/// summed over every shard (for IN, the per-value counts: an upper bound on
-/// the deduplicated union).
+/// or non-negated `col IN (...)` conjunct, or a dictionary seek (the
+/// strings of an indexed column's dictionary that a string predicate
+/// accepts, storage/string_predicate.h), with the exact candidate count
+/// summed over every shard (for IN and the seek, the per-value counts: an
+/// upper bound on the deduplicated union).
 struct AccessPath {
   int col_idx = -1;  // -1: no conjunct probes an index
   const Value* eq = nullptr;
   const std::vector<Value>* in = nullptr;
+  std::vector<Value> seek;  // dictionary seek: the accepted strings
+  bool is_seek = false;
   size_t count = static_cast<size_t>(-1);
 };
 
-/// Rank every probe-able conjunct of `conjuncts` on alias `alias_idx` by
+/// Rank the index probes among an alias's compiled single-table filters by
 /// Table::ProbeCount (no materialization) and return the cheapest — the
 /// same cheapest-access-path choice the graph matcher makes through
-/// ProbeCountNodes. Conjuncts on other aliases are skipped.
-AccessPath BestAccessPath(const std::vector<const Expr*>& conjuncts,
-                          const Binder& binder, int alias_idx) {
-  const Table* table = binder.table(alias_idx);
-  auto indexed = [&](const Expr& col) {
-    auto bc = binder.Resolve(col);
-    return bc.ok() && bc.value().alias_idx == alias_idx &&
-                   table->HasIndex(bc.value().col_idx)
-               ? bc.value().col_idx
-               : -1;
-  };
+/// ProbeCountNodes. Then offer each filter's dictionary seek: walked only
+/// while its dictionary is smaller than the cheapest path so far (a full
+/// scan without one), polling `interrupted`; a fired poll returns nullopt.
+template <class Interrupted>
+std::optional<AccessPath> BestAccessPath(
+    const std::vector<ColumnPredicate>& compiled, const Table& table,
+    Interrupted&& interrupted) {
   AccessPath best;
-  for (const Expr* f : conjuncts) {
+  for (const ColumnPredicate& cp : compiled) {
+    if (cp.col_idx() < 0 || !table.HasIndex(cp.col_idx())) continue;
     AccessPath path;
-    if (f->kind == ExprKind::kBinary && f->op == BinaryOp::kEq) {
-      if (f->lhs->kind == ExprKind::kColumnRef &&
-          f->rhs->kind == ExprKind::kLiteral) {
-        path.col_idx = indexed(*f->lhs);
-        path.eq = &f->rhs->literal;
-      } else if (f->rhs->kind == ExprKind::kColumnRef &&
-                 f->lhs->kind == ExprKind::kLiteral) {
-        path.col_idx = indexed(*f->rhs);
-        path.eq = &f->lhs->literal;
-      }
-    } else if (f->kind == ExprKind::kInList && !f->negated &&
-               f->lhs->kind == ExprKind::kColumnRef) {
-      path.col_idx = indexed(*f->lhs);
-      path.in = &f->in_list;
-    }
-    if (path.col_idx < 0) continue;
+    path.col_idx = cp.col_idx();
+    path.eq = cp.index_eq();
+    path.in = cp.index_in();
     if (path.eq != nullptr) {
-      path.count = table->ProbeCount(path.col_idx, *path.eq);
-    } else {
+      path.count = table.ProbeCount(path.col_idx, *path.eq);
+    } else if (path.in != nullptr) {
       path.count = 0;
       for (const Value& v : *path.in) {
-        path.count += table->ProbeCount(path.col_idx, v);
+        path.count += table.ProbeCount(path.col_idx, v);
       }
     }
     if (path.count < best.count) best = path;
+  }
+  for (const ColumnPredicate& cp : compiled) {
+    const storage::StringPredicate* strings = cp.Seekable();
+    if (strings == nullptr || !table.HasIndex(cp.col_idx())) continue;
+    auto seek = strings->SeekBelow(
+        std::min(best.count, table.row_count()), interrupted,
+        [&](const Value& key) { return table.ProbeCount(cp.col_idx(), key); });
+    if (seek.has_value()) {
+      best = AccessPath{cp.col_idx(), nullptr, nullptr, std::move(seek->keys),
+                        true, seek->count};
+    } else if (interrupted()) {
+      return std::nullopt;
+    }
   }
   return best;
 }
@@ -733,7 +749,7 @@ class TuplePipeline {
       key_scratch_.reserve(level.keys.size());
       for (const auto& [nc, oc] : level.keys) {
         key_scratch_.push_back(
-            binder_.table(oc.alias_idx)->row(t[oc.alias_idx])[oc.col_idx]);
+            binder_.table(oc.alias_idx)->Cell(t[oc.alias_idx], oc.col_idx));
       }
       auto it = level.build.find(key_scratch_);
       if (it == level.build.end()) return true;
@@ -778,32 +794,10 @@ class TuplePipeline {
       if (BudgetSpent()) return false;
       if (stats_ != nullptr) ++stats_->base_rows_scanned;
       t[0] = rid;
-      bool pass = true;
-      size_t sh = table0->ShardOf(rid);
-      size_t pos = table0->LocalOf(rid);
-      for (size_t i = 0; i < lazy0_filters_->size(); ++i) {
-        // Compiled column check where available for this row's shard;
-        // same conjunct position, identical verdict to the Eval below.
-        if ((*compiled0_)[i].compiled(sh)) {
-          if (stats_ != nullptr) ++stats_->columnar_filter_rows;
-          if (!(*compiled0_)[i].Matches(sh, pos)) {
-            pass = false;
-            break;
-          }
-          continue;
-        }
-        auto v = eval_.Eval(*(*lazy0_filters_)[i], t);
-        if (!v.ok()) {
-          error_ = v.status();
-          t[0] = kUnbound;
-          return false;
-        }
-        if (!Evaluator::Truthy(v.value())) {
-          pass = false;
-          break;
-        }
-      }
-      bool cont = pass ? Descend(0, t) : true;
+      auto pass = PassesFilters(*lazy0_filters_, *compiled0_, *table0, 0, t,
+                                eval_, stats_);
+      if (!pass.ok()) error_ = pass.status();
+      bool cont = pass.ok() && (!pass.value() || Descend(0, t));
       t[0] = kUnbound;
       return cont;
     };
@@ -862,8 +856,10 @@ class TuplePipeline {
     Row row;
     if (has_star_) {
       for (size_t a = 0; a < levels_.size(); ++a) {
-        const Row& src = binder_.table(a)->row(t[a]);
-        row.insert(row.end(), src.begin(), src.end());
+        const Table* table = binder_.table(a);
+        for (size_t c = 0; c < table->schema().size(); ++c) {
+          row.push_back(table->Cell(t[a], static_cast<int>(c)));
+        }
       }
     }
     for (const Expr* e : projected_) {
@@ -1043,20 +1039,6 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
   // ends the query before the expensive ones are touched. A lazy first
   // table never materializes: it plans last, seeded from all the others.
   // The pipeline still walks FROM order, so the result is unchanged.
-  bool lazy0 = early_limit && n_aliases > 0;
-  std::vector<AccessPath> paths(n_aliases);
-  std::vector<size_t> cost(n_aliases);
-  std::vector<size_t> order(n_aliases);
-  for (size_t a = 0; a < n_aliases; ++a) {
-    paths[a] = BestAccessPath(filters[a], binder, static_cast<int>(a));
-    cost[a] = AccessCost(paths[a], *tables[a]);
-    order[a] = a;
-  }
-  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-    bool lazy_x = lazy0 && x == 0, lazy_y = lazy0 && y == 0;
-    if (lazy_x != lazy_y) return lazy_y;
-    return cost[x] < cost[y];
-  });
   // The plan loops poll cancellation and the deadline like the scan does.
   DeadlinePoller plan_deadline(options.deadline);
   auto interrupted = [&] {
@@ -1070,11 +1052,30 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
                ? Status::Cancelled("sql query cancelled")
                : Status::Timeout("sql query deadline exceeded");
   };
+  bool lazy0 = early_limit && n_aliases > 0;
+  std::vector<AccessPath> paths(n_aliases);
+  std::vector<size_t> cost(n_aliases);
+  std::vector<size_t> order(n_aliases);
+  for (size_t a = 0; a < n_aliases; ++a) {
+    auto path = BestAccessPath(compiled[a], *tables[a], interrupted);
+    if (!path.has_value()) return interrupt_status();
+    paths[a] = std::move(*path);
+    cost[a] = AccessCost(paths[a], *tables[a]);
+    order[a] = a;
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    bool lazy_x = lazy0 && x == 0, lazy_y = lazy0 && y == 0;
+    if (lazy_x != lazy_y) return lazy_y;
+    return cost[x] < cost[y];
+  });
   std::vector<std::vector<RowId>> candidates(n_aliases);
   std::vector<char> materialized(n_aliases, 0);
-  // Per alias: its access path for the plan span's note, and the indexed
-  // column it probes (-1: none).
-  std::vector<std::pair<const char*, int>> access(n_aliases, {"skipped", -1});
+  // Per alias: its access path for the plan span's note ("skipped" when
+  // an earlier alias emptied the input).
+  std::vector<std::string> access(n_aliases, "skipped");
+  auto column_name = [&](size_t a, int col) {
+    return tables[a]->schema().column(col).name;
+  };
   std::vector<RowId> lazy0_seed;
   bool lazy0_scan_all = false;
   // Every join is inner, so an alias left with no candidate row empties the
@@ -1101,7 +1102,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
         size_t count = 0;
         for (RowId rid : candidates[other.alias_idx]) {
           if (interrupted()) return interrupt_status();
-          const Value& key = partner->row(rid)[other.col_idx];
+          Value key = partner->Cell(rid, other.col_idx);
           if (!keys.insert(key).second) continue;
           count += table->ProbeCount(mine.col_idx, key);
           if (count >= sj_count) break;
@@ -1131,20 +1132,24 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
         probe_into_seed(sj_col, key);
       }
       stats->semijoin_seed_rows += seed.size();
-      access[a] = {"semijoin", sj_col};
+      access[a] = "semijoin(" + column_name(a, sj_col) + ")";
     } else if (paths[a].col_idx >= 0) {
-      if (paths[a].eq != nullptr) {
-        probe_into_seed(paths[a].col_idx, *paths[a].eq);
+      const AccessPath& path = paths[a];
+      if (path.eq != nullptr) {
+        probe_into_seed(path.col_idx, *path.eq);
       } else {
-        for (const Value& v : *paths[a].in) {
-          probe_into_seed(paths[a].col_idx, v);
+        for (const Value& v : path.is_seek ? path.seek : *path.in) {
+          probe_into_seed(path.col_idx, v);
         }
       }
       stats->index_probe_rows += seed.size();
-      access[a] = {"index", paths[a].col_idx};
+      access[a] = path.is_seek
+                      ? "dict(" + column_name(a, path.col_idx) + "," +
+                            std::to_string(path.seek.size()) + ")"
+                      : "index(" + column_name(a, path.col_idx) + ")";
     } else {
       seeded = false;
-      access[a] = {"scan", -1};
+      access[a] = "scan";
     }
     if (seeded) {
       std::sort(seed.begin(), seed.end());
@@ -1167,26 +1172,10 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       RowId rid = seeded ? seed[i] : i;
       ++stats->base_rows_scanned;
       probe[a] = rid;
-      bool pass = true;
-      size_t sh = table->ShardOf(rid);
-      size_t pos = table->LocalOf(rid);
-      for (size_t f = 0; f < filters[a].size(); ++f) {
-        if (compiled[a][f].compiled(sh)) {
-          ++stats->columnar_filter_rows;
-          if (!compiled[a][f].Matches(sh, pos)) {
-            pass = false;
-            break;
-          }
-          continue;
-        }
-        auto v = eval.Eval(*filters[a][f], probe);
-        if (!v.ok()) return v.status();
-        if (!Evaluator::Truthy(v.value())) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) out.push_back(rid);
+      auto pass = PassesFilters(filters[a], compiled[a], *table, a, probe,
+                                eval, stats);
+      if (!pass.ok()) return pass.status();
+      if (pass.value()) out.push_back(rid);
     }
     materialized[a] = 1;
     empty_input = out.empty();
@@ -1202,9 +1191,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
     span->Set("columnar_filter_rows", delta(&ExecStats::columnar_filter_rows));
     std::string note;
     for (size_t a = 0; a < n_aliases; ++a) {
-      const auto& [kind, col] = access[a];
-      note += (a == 0 ? "" : " ") + aliases[a] + "=" + kind;
-      if (col >= 0) note += "(" + tables[a]->schema().column(col).name + ")";
+      note += (a == 0 ? "" : " ") + aliases[a] + "=" + access[a];
     }
     span->Note("access", note);
   }
@@ -1262,7 +1249,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       key_vals.clear();
       key_vals.reserve(levels[a].keys.size());
       for (const auto& [nc, oc] : levels[a].keys) {
-        key_vals.push_back(table->row(rid)[nc.col_idx]);
+        key_vals.push_back(table->Cell(rid, nc.col_idx));
       }
       levels[a].build_rows.Append(levels[a].build[key_vals], rid);
     }
@@ -1309,6 +1296,10 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
         stmt.limit < static_cast<long long>(options.parallel_min_limit));
   if (!(early_limit && stmt.limit == 0) && !empty_input) {
     if (!parallel) {
+      // The serial pipeline's own span: its lazy first-table scan and its
+      // emitted rows, as a morsel worker's span reports them.
+      obs::ScopedSpan pipeline_span(options.trace, "pipeline");
+      const ExecStats before_pipeline = *stats;
       storage::WorkerRows serial_rs;
       TuplePipeline pipeline(stmt, binder, eval, levels, candidates, projected,
                              has_star, stmt.distinct,
@@ -1322,6 +1313,12 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       pipeline.SetCancelFlag(options.cancel);
       pipeline.SetDeadline(options.deadline);
       pipeline.Run();
+      obs::Set(pipeline_span.get(), "base_rows_scanned",
+               static_cast<int64_t>(stats->base_rows_scanned -
+                                    before_pipeline.base_rows_scanned));
+      obs::Set(pipeline_span.get(), "rows_emitted",
+               static_cast<int64_t>(stats->rows_emitted -
+                                    before_pipeline.rows_emitted));
       RAPTOR_RETURN_NOT_OK(pipeline.error());
       result.rows.Adopt(std::move(serial_rs.rows));
     } else {
@@ -1349,28 +1346,16 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       // work-stealing deques so a skewed shard's rows spread across the
       // fleet. The merge walks morsels in carve order, so the result is
       // identical for a fixed plan regardless of the steal schedule.
-      size_t morsel_size = static_cast<size_t>(std::max(1, options.morsel_size));
-      struct Morsel {
-        size_t shard;
-        size_t lo;
-        size_t hi;
-      };
-      std::vector<Morsel> morsels;
       RowId row_count = tables[0]->row_count();
+      std::vector<size_t> counts(n_shards);
       for (size_t s = 0; s < n_shards; ++s) {
-        size_t count =
-            first_list != nullptr
-                ? first_by_shard[s].size()
-                : (row_count > s ? (row_count - 1 - s) / n_shards + 1 : 0);
-        for (size_t lo = 0; lo < count; lo += morsel_size) {
-          morsels.push_back({s, lo, std::min(lo + morsel_size, count)});
-        }
+        counts[s] = first_list != nullptr
+                        ? first_by_shard[s].size()
+                        : storage::StrideCount(row_count, s, n_shards);
       }
-      struct MorselRun {
-        storage::WorkerRows rs;
-        Status error = Status::OK();
-      };
-      std::vector<MorselRun> runs(morsels.size());
+      std::vector<storage::Morsel> morsels =
+          storage::CarveMorsels(counts, options.morsel_size);
+      std::vector<storage::MorselRun> runs(morsels.size());
       if (!morsels.empty()) {
         size_t workers = std::min<size_t>(
             static_cast<size_t>(options.parallel_shards), morsels.size());
@@ -1387,7 +1372,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
                m != WorkStealingQueues::kDone; m = queues.Next(w, &stolen)) {
             ++ws->morsels_executed;
             if (stolen) ++ws->morsels_stolen;
-            const Morsel& mo = morsels[m];
+            const storage::Morsel& mo = morsels[m];
             TuplePipeline pipeline(stmt, binder, worker_eval, levels,
                                    candidates, projected, has_star,
                                    stmt.distinct,
@@ -1529,13 +1514,18 @@ double EstimateSelectCost(const SelectStmt& stmt, const Catalog& catalog) {
 
   size_t n_aliases = aliases.size();
   // Per alias: the access cost the executor ranks its aliases by — the
-  // cheapest probe-able eq/IN conjunct's cardinality, or the full row count
-  // when nothing probes.
+  // cheapest probe-able eq/IN conjunct's or dictionary seek's cardinality,
+  // or the full row count when nothing probes.
   std::vector<double> est(n_aliases, 0.0);
   for (size_t a = 0; a < n_aliases; ++a) {
-    est[a] = static_cast<double>(AccessCost(
-        BestAccessPath(raw_conjuncts, binder, static_cast<int>(a)),
-        *tables[a]));
+    std::vector<ColumnPredicate> compiled;
+    compiled.reserve(raw_conjuncts.size());
+    for (const Expr* f : raw_conjuncts) {
+      compiled.push_back(
+          ColumnPredicate::Compile(*f, binder, static_cast<int>(a)));
+    }
+    auto path = BestAccessPath(compiled, *tables[a], [] { return false; });
+    est[a] = static_cast<double>(AccessCost(*path, *tables[a]));
   }
 
   // An upper bound: the FROM-order driving alias is priced at its own

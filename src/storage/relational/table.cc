@@ -41,12 +41,20 @@ Status Table::Insert(Row row) {
   for (auto& [col, index] : shard.indexes) {
     index[row[col]].push_back(id);
   }
-  size_t pos = shard.rows.size();  // == layout_.LocalOf(id)
+  size_t pos = shard.rows++;  // == layout_.LocalOf(id)
   for (size_t c = 0; c < row.size(); ++c) {
     shard.cols[c].Append(pos, row[c], &col_dicts_[c]);
   }
-  shard.rows.push_back(std::move(row));
   return Status::OK();
+}
+
+Row Table::RowAt(RowId id) const {
+  Row row;
+  row.reserve(schema_.size());
+  for (size_t c = 0; c < schema_.size(); ++c) {
+    row.push_back(Cell(id, static_cast<int>(c)));
+  }
+  return row;
 }
 
 Status Table::CreateIndex(std::string_view column) {
@@ -60,9 +68,9 @@ Status Table::CreateIndex(std::string_view column) {
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     ValueIndex& index = shard.indexes[col];
-    for (size_t local = 0; local < shard.rows.size(); ++local) {
+    for (size_t local = 0; local < shard.rows; ++local) {
       RowId id = layout_.GlobalOf(s, local);
-      index[shard.rows[local][col]].push_back(id);
+      index[Cell(id, col)].push_back(id);
     }
   }
   return Status::OK();

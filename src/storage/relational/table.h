@@ -1,14 +1,16 @@
-// In-memory row-store table with hash equality indexes, the storage unit of
-// the embedded relational engine that substitutes PostgreSQL.
+// In-memory column-store table with hash equality indexes, the storage unit
+// of the embedded relational engine that substitutes PostgreSQL. Inserted
+// rows are frozen into per-(shard × column) columns (storage/columnar.h)
+// and not retained: the columns are the only stored copy of each cell.
 //
 // Sharding: rows and index storage partition into a power-of-two number of
 // entity-id-hashed shards (shard = row id & mask; row ids stay dense and
-// global, assigned in insert order). Each shard owns its rows and its slice
-// of every hash index, which lets the SQL executor carve base-table scans
-// and hash-join probe sides into per-shard morsels. The pre-sharding
-// accessors that return whole-table references (rows(), Probe() without a
-// shard argument) remain valid as the single-shard (shard_count() == 1)
-// case; row(id) and the per-shard probes work for any shard count.
+// global, assigned in insert order). Each shard owns its column slices and
+// its slice of every hash index, which lets the SQL executor carve
+// base-table scans and hash-join probe sides into per-shard morsels.
+// Probe() without a shard argument remains valid as the single-shard
+// (shard_count() == 1) case; Cell / RowAt and the per-shard probes work for
+// any shard count.
 //
 // Thread-safety contract: construction and mutation (Insert / CreateIndex)
 // are single-threaded; all const member functions are race-free when
@@ -55,7 +57,7 @@ class Schema {
 using Row = std::vector<Value>;
 using RowId = size_t;
 
-/// Row-store table. Supports appends, full scans, and hash-index-backed
+/// Column-store table. Supports appends, full scans, and hash-index-backed
 /// equality probes on indexed columns.
 class Table {
  public:
@@ -92,12 +94,17 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
-  const Row& row(RowId id) const {
-    return shards_[layout_.ShardOf(id)].rows[layout_.LocalOf(id)];
+  /// The cell of row `id` in column `column_idx`, read from its frozen
+  /// column (a table cell is never absent: NULL is an explicit value).
+  Value Cell(RowId id, int column_idx) const {
+    Value v;
+    ColumnSlice(layout_.ShardOf(id), column_idx)
+        .CellAt(layout_.LocalOf(id), &v);
+    return v;
   }
 
-  /// Whole-table row storage. Precondition: shard_count() == 1.
-  const std::vector<Row>& rows() const { return shards_[0].rows; }
+  /// Row `id` rebuilt from its cells, in schema order.
+  Row RowAt(RowId id) const;
 
   size_t row_count() const { return row_count_; }
   size_t shard_count() const { return shards_.size(); }
@@ -110,8 +117,8 @@ class Table {
   size_t LocalOf(RowId id) const { return layout_.LocalOf(id); }
 
   // --- Frozen columnar storage (storage/columnar.h) ------------------------
-  // Insert freezes every cell into per-(shard × column) SoA vectors
-  // alongside the row store; string cells dictionary-encode against one
+  // Insert freezes every cell into per-(shard × column) SoA vectors, the
+  // table's only storage; string cells dictionary-encode against one
   // dictionary per schema column, shared across shards.
 
   /// Frozen column of (shard, column). Cell positions are the row's local
@@ -120,22 +127,10 @@ class Table {
     return shards_[shard].cols[column_idx];
   }
 
-  /// Dictionary id of `text` in column `column_idx`'s dictionary, or
-  /// storage::kNullDictId when that string never occurs in the column.
-  uint32_t LookupColumnDict(int column_idx, std::string_view text) const {
-    uint32_t id = col_dicts_[column_idx].Lookup(text);
-    return id == kNoSymbol ? storage::kNullDictId : id;
-  }
-
-  /// The string behind a dictionary id of column `column_idx`.
-  std::string_view ColumnDictName(int column_idx, uint32_t dict_id) const {
-    return col_dicts_[column_idx].Name(dict_id);
-  }
-
-  /// Distinct strings in column `column_idx`'s dictionary; every dictionary
-  /// id of the column is below this.
-  size_t ColumnDictSize(int column_idx) const {
-    return col_dicts_[column_idx].size();
+  /// Column `column_idx`'s string dictionary; every dictionary id of the
+  /// column is below its size().
+  const StringInterner& ColumnDict(int column_idx) const {
+    return col_dicts_[column_idx];
   }
 
  private:
@@ -144,10 +139,10 @@ class Table {
   using ValueIndex =
       std::unordered_map<Value, std::vector<RowId>, ValueHash, ValueEq>;
 
-  /// One entity-id-hashed partition: the rows whose id hashes here and
-  /// this shard's slice of every column index (global row ids).
+  /// One entity-id-hashed partition: the cells of the rows whose id hashes
+  /// here and this shard's slice of every column index (global row ids).
   struct Shard {
-    std::vector<Row> rows;
+    size_t rows = 0;                              // rows stored here
     std::unordered_map<int, ValueIndex> indexes;  // column index -> index
     std::vector<storage::Column> cols;            // frozen SoA cells
   };

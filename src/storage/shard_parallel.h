@@ -46,6 +46,37 @@ inline size_t DistinctPartitionOf(const std::vector<sql::Value>& row) {
   return sql::ValueRowHash{}(row) & (kDistinctPartitions - 1);
 }
 
+/// One work-stealing morsel: the positional range [lo, hi) of one shard's
+/// iteration space (the k-th row of its start/stride walk, or the k-th
+/// entry of its seed / candidate sub-list).
+struct Morsel {
+  size_t shard;
+  size_t lo;
+  size_t hi;
+};
+
+/// Positions of `shard` in a start/stride walk of `total` dense ids over
+/// `shard_count` shards (ids shard, shard + n, shard + 2n, ... below
+/// total — storage::ShardLayout's round-robin low-bits assignment).
+inline size_t StrideCount(size_t total, size_t shard, size_t shard_count) {
+  return total > shard ? (total - 1 - shard) / shard_count + 1 : 0;
+}
+
+/// Carve each shard's `counts[s]` positions into fixed-size morsels, laid
+/// out shard-major: the order the merge walks them, so a result is
+/// identical for a fixed plan whatever the steal schedule.
+inline std::vector<Morsel> CarveMorsels(const std::vector<size_t>& counts,
+                                        int morsel_size) {
+  size_t size = static_cast<size_t>(morsel_size < 1 ? 1 : morsel_size);
+  std::vector<Morsel> morsels;
+  for (size_t s = 0; s < counts.size(); ++s) {
+    for (size_t lo = 0; lo < counts[s]; lo += size) {
+      morsels.push_back({s, lo, lo + size < counts[s] ? lo + size : counts[s]});
+    }
+  }
+  return morsels;
+}
+
 /// Per-morsel result container for the parallel schedulers. Non-DISTINCT
 /// emissions stream into `rows`; DISTINCT emissions are hash-partitioned
 /// into `parts` (sized lazily by the sink).
@@ -54,6 +85,12 @@ struct WorkerRows {
   std::vector<std::vector<std::vector<sql::Value>>> parts;
 
   void EnableDistinctPartitions() { parts.resize(kDistinctPartitions); }
+};
+
+/// One morsel's output: its rows and its error status.
+struct MorselRun {
+  WorkerRows rs;
+  Status error = Status::OK();
 };
 
 /// LIMIT enforcement for a fleet of morsel workers. Wire

@@ -45,6 +45,7 @@
 #include "cases/cases.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "obs/trace.h"
 #include "storage/graphdb/cypher_executor.h"
 #include "storage/graphdb/cypher_parser.h"
 #include "storage/relational/database.h"
@@ -59,6 +60,15 @@
 namespace raptor {
 namespace {
 
+/// A cell rendered with its kind, so NULL, the text 'NULL', the int 1 and
+/// the text '1' all differ.
+std::string TypedCell(const sql::Value& v) {
+  if (v.is_null()) return "NULL";
+  if (v.is_int()) return "i:" + v.ToString();
+  if (v.is_double()) return "d:" + v.ToString();
+  return "'" + v.AsText() + "'";
+}
+
 /// Row rendering shared by both backends, preserving emission order (for
 /// ordered-query comparisons).
 std::vector<std::string> RenderRowsOrdered(
@@ -68,7 +78,7 @@ std::vector<std::string> RenderRowsOrdered(
   for (const auto& row : rows) {
     std::vector<std::string> cells;
     cells.reserve(row.size());
-    for (const sql::Value& v : row) cells.push_back(v.ToString());
+    for (const sql::Value& v : row) cells.push_back(TypedCell(v));
     out.push_back(Join(cells, "\x1f"));
   }
   return out;
@@ -117,12 +127,16 @@ std::string WithLimit(const CatalogQuery& q, long long limit) {
   return q.text + " LIMIT " + std::to_string(limit);
 }
 
-/// Expected rows of a plant-targeted query, rendered like RenderRows.
+/// Expected rows of a plant-targeted query (all text cells), rendered like
+/// RenderRows.
 std::vector<std::string> ExpectedRows(
     std::vector<std::vector<std::string>> rows) {
   std::vector<std::string> out;
   out.reserve(rows.size());
-  for (const auto& row : rows) out.push_back(Join(row, "\x1f"));
+  for (auto& row : rows) {
+    for (std::string& cell : row) cell = TypedCell(sql::Value(cell));
+    out.push_back(Join(row, "\x1f"));
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -671,11 +685,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SqlDifferentialTest,
                          ::testing::Values(0u, 1u, 2u, 3u, 4u, 5u));
 
 TEST(SqlLikeTest, LikeEdgeCasesMatchOracle) {
-  // LIKE / NOT LIKE runs memoized per dictionary id on string column
-  // slices and row-wise everywhere else; both must agree with the oracle.
-  // Over four shards (row id & 3): `name` holds NULL cells in shard 1 only
-  // (that slice demotes to the row path, where NULL reads as the text
-  // "NULL", while shard 0 stores the real text "NULL"); `m` mixes ints and
+  // LIKE / NOT LIKE runs through the string kernel: memoized per
+  // dictionary id on string slices, per cell on int and kMixed slices;
+  // both must agree with the oracle. Over four shards (row id & 3): `name`
+  // holds NULL cells in shard 1 only (that slice demotes to kMixed, where
+  // NULL reads as the text "NULL", while shard 0 stores the real text
+  // "NULL"); `m` mixes ints and
   // strings in shards 0 and 1 (kMixed) but holds only strings in shards 2
   // and 3; `num` is an int column.
   sql::Database db(4);
@@ -721,7 +736,7 @@ TEST(SqlLikeTest, LikeEdgeCasesMatchOracle) {
   }
   catalog.push_back(
       {"SELECT DISTINCT name FROM t WHERE name NOT LIKE '%bin%' AND "
-       "name NOT LIKE 'N%' AND m LIKE 'x%'",  // NULL and 'NULL' render alike
+       "m LIKE 'x%'",  // NULL and the text 'NULL' are distinct rows
        true});
   catalog.push_back(
       {"SELECT a.id, b.id FROM t a, t b WHERE a.num = b.num AND "
@@ -828,6 +843,295 @@ TEST(SqlAccessOrderTest, EventEntityJoinsMatchOracle) {
     EXPECT_LT(stats.semijoin_seed_rows, 60u) << limit;
   }
 }
+
+// ------------------------------------------------- string predicates
+
+/// Check every query of a Cypher catalog, serial and morsel at every LIMIT
+/// of kLimits, against the oracle; returns each query's full row count.
+std::vector<size_t> CheckCypherCatalog(
+    graphdb::GraphDatabase& db, const std::vector<CatalogQuery>& catalog) {
+  fixtures::CypherOracle oracle(db.graph());
+  std::vector<size_t> full_rows;
+  for (const CatalogQuery& q : catalog) {
+    auto parsed = graphdb::ParseCypher(q.text);
+    EXPECT_TRUE(parsed.ok()) << q.text << ": " << parsed.status().ToString();
+    if (!parsed.ok()) return full_rows;
+    auto full_rs = oracle.Run(parsed.value());
+    EXPECT_TRUE(full_rs.ok()) << q.text << ": " << full_rs.status().ToString();
+    if (!full_rs.ok()) return full_rows;
+    std::vector<std::string> full = RenderRowsOrdered(full_rs.value());
+    full_rows.push_back(full.size());
+    for (long long limit : kLimits) {
+      std::string text = WithLimit(q, limit);
+      for (bool morsel : {false, true}) {
+        graphdb::MatchOptions opts;
+        opts.parallel_shards = morsel ? 4 : 1;
+        opts.morsel_size = 3;
+        opts.parallel_min_seeds = 0;
+        opts.parallel_min_limit = 0;
+        db.options() = opts;
+        auto rs = db.Query(text);
+        EXPECT_TRUE(rs.ok()) << text << ": " << rs.status().ToString();
+        if (!rs.ok()) continue;
+        CheckAgainstOracle(q, limit, rs.value().rows, full,
+                           text + (morsel ? " [morsel]" : " [serial]"));
+      }
+    }
+  }
+  db.options() = graphdb::MatchOptions{};
+  return full_rows;
+}
+
+/// One traced serial run: the `plan` span's note and counters.
+struct PlanProbe {
+  std::string note;  // the graph plan's `seed` / the SQL plan's `access`
+  int64_t seed_candidates = 0;
+  int64_t dict_strings_checked = 0;
+  int64_t index_probe_rows = 0;
+  size_t rows = 0;
+};
+
+PlanProbe ProbePlan(const obs::TraceSpan& root, const char* note_key) {
+  PlanProbe probe;
+  for (const auto& child : root.children()) {
+    if (child->name() != "plan") continue;
+    for (const auto& [key, value] : child->notes()) {
+      if (key == note_key) probe.note = value;
+    }
+    probe.seed_candidates = child->counter("seed_candidates");
+    probe.dict_strings_checked = child->counter("dict_strings_checked");
+    probe.index_probe_rows = child->counter("index_probe_rows");
+  }
+  return probe;
+}
+
+PlanProbe ProbeCypher(const graphdb::GraphDatabase& db,
+                      const std::string& text) {
+  auto root = obs::TraceSpan::Root("query");
+  graphdb::MatchOptions opts;
+  opts.parallel_shards = 1;
+  opts.trace = root.get();
+  auto rs = db.QueryBlocks(text, opts);
+  EXPECT_TRUE(rs.ok()) << text << ": " << rs.status().ToString();
+  PlanProbe probe = ProbePlan(*root, "seed");
+  if (rs.ok()) probe.rows = rs.value().rows.row_count();
+  return probe;
+}
+
+PlanProbe ProbeSql(const sql::Database& db, const std::string& text) {
+  auto root = obs::TraceSpan::Root("query");
+  sql::SelectOptions opts;
+  opts.parallel_shards = 1;
+  opts.trace = root.get();
+  auto rs = db.QueryBlocks(text, opts);
+  EXPECT_TRUE(rs.ok()) << text << ": " << rs.status().ToString();
+  PlanProbe probe = ProbePlan(*root, "access");
+  if (rs.ok()) probe.rows = rs.value().rows.row_count();
+  return probe;
+}
+
+// The string-predicate edge cases both backends decide through one kernel
+// (storage/string_predicate.h): an absent cell, an explicit NULL, the
+// text 'NULL', an empty needle, the needle 'UL' (true on absent cells,
+// which read as "NULL"), a dictionary miss, an int column, a kMixed
+// column, an unlabeled node, a needle matching half the dictionary, and a
+// dictionary larger than the label bucket.
+//
+// Graph over four shards: 36 procs, 4 per exename over 8 exenames (one is
+// the text "NULL"), 4 more without one; a kMixed `m` (ints and strings)
+// and an int `pid`. 40 files share the `name` dictionary with 2 socks, so
+// the sock bucket is smaller than its dictionary. 8 ips, two of which hold
+// an explicit NULL dstip (their slices demote to kMixed).
+void BuildStringGraph(graphdb::GraphDatabase* db) {
+  using graphdb::PropertyMap;
+  using graphdb::Value;
+  graphdb::PropertyGraph& g = db->graph();
+  static const char* kExe[] = {"/bin/tar",   "/bin/cat", "/usr/bin/tail",
+                               "/sbin/init", "NULL",     "/srv/x1",
+                               "/srv/x2",    "/srv/x3"};
+  std::vector<graphdb::NodeId> procs, files;
+  for (int i = 0; i < 40; ++i) {
+    PropertyMap props{{"pid", Value(static_cast<int64_t>(100 + i))}};
+    if (i < 32) props.emplace("exename", Value(kExe[i % 8]));
+    props.emplace("m", i % 3 == 0 ? Value(static_cast<int64_t>(i))
+                                  : Value("m" + std::to_string(i % 5)));
+    procs.push_back(g.AddNode("proc", std::move(props)));
+  }
+  for (int i = 0; i < 40; ++i) {
+    files.push_back(
+        g.AddNode("file", {{"name", Value("/data/f" + std::to_string(i))}}));
+  }
+  for (int i = 0; i < 2; ++i) {
+    g.AddNode("sock", {{"name", Value("/run/s" + std::to_string(i))}});
+  }
+  for (int i = 0; i < 8; ++i) {
+    g.AddNode("ip", {{"dstip", i == 1 || i == 6
+                                   ? Value()
+                                   : Value("10.0.0." + std::to_string(i))}});
+  }
+  for (int i = 0; i < 80; ++i) {
+    g.AddEdge(procs[i % 40], files[(i * 7) % 40], "read",
+              {{"amount", Value(static_cast<int64_t>(i))}});
+  }
+  g.CreateNodeIndex("proc", "exename");
+  g.CreateNodeIndex("file", "name");
+  g.CreateNodeIndex("sock", "name");
+  g.CreateNodeIndex("ip", "dstip");
+}
+
+TEST(StringPredicateTest, CypherEdgeCasesMatchOracle) {
+  graphdb::GraphDatabase db(4);
+  BuildStringGraph(&db);
+  const std::vector<CatalogQuery> catalog = {
+      // 0: half the dictionary (4 of 8 exenames) — a dictionary seek.
+      {"MATCH (p:proc) WHERE p.exename CONTAINS 'bin' RETURN p.exename",
+       false},
+      // 1: 'UL' holds on the text "NULL" and on every absent cell.
+      {"MATCH (p:proc) WHERE p.exename CONTAINS 'UL' RETURN p.pid", false},
+      // 2: an empty needle holds everywhere, absent cells included.
+      {"MATCH (p:proc) WHERE p.exename STARTS WITH '' RETURN p.pid", false},
+      // 3: a dictionary miss — the seek finds no string.
+      {"MATCH (p:proc) WHERE p.exename ENDS WITH 'zzz' RETURN p.pid", false},
+      // 4: the text 'NULL' by equality and by IN.
+      {"MATCH (p:proc) WHERE p.exename = 'NULL' RETURN p.pid", false},
+      {"MATCH (p:proc) WHERE p.exename IN ['NULL', '/bin/cat', 'none'] "
+       "RETURN p.exename",
+       false},
+      // 6: negations, absent cells included.
+      {"MATCH (p:proc) WHERE NOT (p.exename CONTAINS 'bin') RETURN p.pid",
+       false},
+      {"MATCH (p:proc) WHERE p.exename <> '/bin/tar' RETURN p.pid", false},
+      // 8: an int column and a kMixed column.
+      {"MATCH (p:proc) WHERE p.pid CONTAINS '13' RETURN p.pid", false},
+      {"MATCH (p:proc) WHERE p.m STARTS WITH '3' RETURN p.pid, p.m", false},
+      {"MATCH (p:proc) WHERE p.m IN ['m1', 'm2'] RETURN p.m", false},
+      // 11: an unlabeled node.
+      {"MATCH (n) WHERE n.exename ENDS WITH 'tar' RETURN n.exename", false},
+      // 12: a dictionary larger than the label bucket.
+      {"MATCH (s:sock) WHERE s.name CONTAINS '/' RETURN s.name", false},
+      // 13: explicit NULL cells (kMixed slices) and the 'NULL' rendering.
+      {"MATCH (i:ip) WHERE i.dstip CONTAINS '10.' RETURN i.dstip", false},
+      {"MATCH (i:ip) WHERE i.dstip CONTAINS 'UL' RETURN i.dstip", false},
+      // 15: inline text / int properties, and a seek on a path's endpoint.
+      {"MATCH (p:proc {exename: 'NULL'}) RETURN p.pid", false},
+      {"MATCH (p:proc {pid: 103}) RETURN p.exename", false},
+      {"MATCH (p:proc)-[e:read]->(f:file) WHERE p.exename STARTS WITH '/srv' "
+       "AND f.name ENDS WITH '1' RETURN p.exename, f.name, e.amount",
+       false},
+      {"MATCH (p:proc) WHERE p.exename CONTAINS 'bin' RETURN DISTINCT "
+       "p.exename",
+       true},
+  };
+  std::vector<size_t> full_rows = CheckCypherCatalog(db, catalog);
+  ASSERT_EQ(full_rows.size(), catalog.size());
+  EXPECT_EQ(full_rows[0], 16u);
+  EXPECT_EQ(full_rows[1], 12u);  // 4 'NULL' texts + 8 absent cells
+  EXPECT_EQ(full_rows[2], 40u);
+  EXPECT_EQ(full_rows[3], 0u);
+  EXPECT_EQ(full_rows[14], 2u);  // the two explicit NULLs
+
+  // When the seek is taken: a seekable positive filter on an indexed,
+  // all-string column whose dictionary is smaller than the label bucket.
+  PlanProbe seek = ProbeCypher(db, catalog[0].text);
+  EXPECT_EQ(seek.note, "p:dict(exename,4)");
+  EXPECT_EQ(seek.seed_candidates, 16);
+  EXPECT_EQ(seek.dict_strings_checked, 8);
+  EXPECT_EQ(seek.rows, 16u);
+  PlanProbe miss = ProbeCypher(db, catalog[3].text);
+  EXPECT_EQ(miss.note, "p:dict(exename,0)");
+  EXPECT_EQ(miss.seed_candidates, 0);
+  // And when not: true on absent cells, an empty needle, an int column, a
+  // negation, a kMixed slice, an unlabeled node, a large dictionary.
+  for (size_t qi : {1, 2, 6, 8, 13}) {
+    PlanProbe scan = ProbeCypher(db, catalog[qi].text);
+    EXPECT_EQ(scan.note, qi == 13 ? "i:label" : "p:label") << qi;
+    EXPECT_EQ(scan.seed_candidates, qi == 13 ? 8 : 40) << qi;
+  }
+  PlanProbe unlabeled = ProbeCypher(db, catalog[11].text);
+  EXPECT_EQ(unlabeled.note, "n:scan");
+  EXPECT_EQ(unlabeled.seed_candidates, 90);
+  PlanProbe big_dict = ProbeCypher(db, catalog[12].text);
+  EXPECT_EQ(big_dict.note, "s:label");
+  EXPECT_EQ(big_dict.seed_candidates, 2);
+  EXPECT_EQ(big_dict.dict_strings_checked, 2);
+}
+
+TEST(StringPredicateTest, SqlEdgeCasesMatchOracle) {
+  // `ent` holds only strings in `name` (indexed; the seek applies); `t`
+  // holds NULL cells in one shard (a kMixed slice), the text 'NULL', an
+  // int column and a kMixed column.
+  sql::Database db(4);
+  ASSERT_TRUE(db.CreateTable("ent", sql::Schema({{"id", sql::ColumnType::kInt64},
+                                                 {"name", sql::ColumnType::kText}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateTable("t", sql::Schema({{"id", sql::ColumnType::kInt64},
+                                               {"name", sql::ColumnType::kText},
+                                               {"num", sql::ColumnType::kInt64},
+                                               {"m", sql::ColumnType::kText}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateIndex("ent", "name").ok());
+  ASSERT_TRUE(db.CreateIndex("t", "name").ok());
+  static const char* kNames[] = {"/bin/tar",   "/bin/cat", "/usr/bin/tail",
+                                 "/sbin/init", "NULL",     "/srv/x1",
+                                 "/srv/x2",    "/srv/x3"};
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(db.Insert("ent", {sql::Value(static_cast<int64_t>(i)),
+                                  sql::Value(kNames[i % 8])})
+                    .ok());
+    sql::Value name = i % 4 == 1 && i % 3 == 0 ? sql::Value()
+                                               : sql::Value(kNames[i % 8]);
+    sql::Value m = i % 3 == 0 ? sql::Value(static_cast<int64_t>(i))
+                              : sql::Value("m" + std::to_string(i % 5));
+    ASSERT_TRUE(db.Insert("t", {sql::Value(static_cast<int64_t>(i)), name,
+                                sql::Value(static_cast<int64_t>(100 + i)), m})
+                    .ok());
+  }
+  std::vector<CatalogQuery> catalog;
+  for (const char* table : {"ent", "t"}) {
+    for (const char* where : {
+             "name LIKE '%bin%'",         // half the dictionary
+             "name LIKE '%UL%'",          // the text 'NULL' and NULL cells
+             "name LIKE '%'",             // an empty needle
+             "name LIKE '%zzz%'",         // a dictionary miss
+             "name = 'NULL'",             // the text 'NULL'
+             "name IN ('NULL', '/bin/cat', 'none')",
+             "name NOT LIKE '%bin%'",     // negated, NULL cells included
+             "NOT (name = '/bin/tar')",
+             "name <> '/bin/tar'",
+         }) {
+      catalog.push_back({std::string("SELECT id, name FROM ") + table +
+                             " WHERE " + where,
+                         false});
+    }
+  }
+  catalog.push_back({"SELECT id FROM t WHERE num LIKE '%13'", false});
+  catalog.push_back({"SELECT id FROM t WHERE num LIKE 113", false});
+  catalog.push_back({"SELECT id, m FROM t WHERE m LIKE '3%'", false});
+  catalog.push_back({"SELECT id, m FROM t WHERE m IN ('m1', 'm2')", false});
+  catalog.push_back({"SELECT DISTINCT name FROM t WHERE name LIKE 'N%'", true});
+  std::vector<size_t> full_rows = CheckSqlCatalog(db, catalog);
+  ASSERT_EQ(full_rows.size(), catalog.size());
+  EXPECT_EQ(full_rows[0], 20u);
+  EXPECT_EQ(full_rows[3], 0u);
+  EXPECT_EQ(full_rows[catalog.size() - 1], 2u);  // NULL and 'NULL' differ
+
+  // The seek on an all-string indexed column, and a dictionary miss.
+  PlanProbe seek = ProbeSql(db, catalog[0].text);
+  EXPECT_EQ(seek.note, "ent=dict(name,4)");
+  EXPECT_EQ(seek.index_probe_rows, 20);
+  EXPECT_EQ(seek.rows, 20u);
+  PlanProbe miss = ProbeSql(db, catalog[3].text);
+  EXPECT_EQ(miss.note, "ent=dict(name,0)");
+  EXPECT_EQ(miss.index_probe_rows, 0);
+  // No seek: true on NULL cells, an empty needle, a negation, and any
+  // predicate on `t`, whose NULL cells demote a slice to kMixed.
+  for (size_t qi : {1, 2, 6, 9, 18}) {
+    PlanProbe scan = ProbeSql(db, catalog[qi].text);
+    EXPECT_EQ(scan.note, qi < 9 ? "ent=scan" : "t=scan") << qi;
+    EXPECT_EQ(scan.index_probe_rows, 0) << qi;
+  }
+}
+
 
 // ----------------------------------------------------------------- TBQL
 
@@ -1294,6 +1598,48 @@ TEST(TbqlDifferentialTest, RandomQueriesMatchOracle) {
   EXPECT_GE(tally.with_rows * 3, tally.queries);
   EXPECT_GE(tally.emptied_by_propagation, 1u);
   EXPECT_GE(tally.emptied_by_refilter, 1u);
+}
+
+TEST(TbqlDifferentialTest, OpDisjunctionIsAnIndexAccess) {
+  // `read || write` compiles to `e.op IN (...)`, an index access path for
+  // the events alias, and returns the TBQL oracle's rows.
+  auto tr = SmallCase(*cases::FindCase("data_leak"));
+  fixtures::TbqlOracle oracle(*tr->store());
+  for (const char* text : {"proc p read || write file f return p, f",
+                           "proc p ->[read || write] file f return p, f"}) {
+    auto query = tbql::ParseTbql(text);
+    ASSERT_TRUE(query.ok()) << text;
+    auto root = obs::TraceSpan::Root("hunt");
+    engine::ExecOptions opts;
+    opts.trace = root.get();
+    auto report = engine::TbqlExecutor(tr->store()).Execute(query.value(), opts);
+    ASSERT_TRUE(report.ok()) << text << ": " << report.status().ToString();
+    auto want = oracle.Run(query.value());
+    ASSERT_TRUE(want.ok()) << text;
+    EXPECT_FALSE(want.value().rows.empty()) << text;
+    EXPECT_EQ(RenderTbqlRows(report.value().results.rows),
+              RenderTbqlRows(want.value().rows))
+        << text;
+    for (const std::string& q : report.value().executed_queries) {
+      EXPECT_NE(q.find("op IN "), std::string::npos) << q;
+    }
+    std::vector<const obs::TraceSpan*> stack = {root.get()};
+    std::string access;
+    while (!stack.empty()) {
+      const obs::TraceSpan* span = stack.back();
+      stack.pop_back();
+      for (const auto& child : span->children()) stack.push_back(child.get());
+      if (span->name() != "plan") continue;
+      for (const auto& [key, value] : span->notes()) {
+        if (key == "access") access = value;
+      }
+    }
+    if (std::string(text).find("->") == std::string::npos) {
+      EXPECT_TRUE(access.find("e=index(") != std::string::npos ||
+                  access.find("e=semijoin(") != std::string::npos)
+          << access;
+    }
+  }
 }
 
 }  // namespace

@@ -75,8 +75,8 @@ class CypherOracle {
 
   bool EdgeMatches(EdgeId id, const graphdb::RelPattern& rel) const {
     const graphdb::Edge& e = graph_.edge(id);
-    return (rel.type.empty() || e.type == rel.type) &&
-           PropsMatch(e.props, rel.props) &&
+    return (rel.type.empty() || graph_.EdgeTypeName(e.type_id) == rel.type) &&
+           PropsMatch(graph_.EdgeProps(id), rel.props) &&
            std::find(used_.begin(), used_.end(), id) == used_.end();
   }
 
@@ -85,8 +85,10 @@ class CypherOracle {
   template <class Next>
   void WithNode(const graphdb::NodePattern& pat, NodeId id, Next&& next) {
     const graphdb::Node& n = graph_.node(id);
-    if (!pat.label.empty() && n.label != pat.label) return;
-    if (!PropsMatch(n.props, pat.props)) return;
+    if (!pat.label.empty() && graph_.LabelName(n.label_id) != pat.label) {
+      return;
+    }
+    if (!PropsMatch(graph_.NodeProps(id), pat.props)) return;
     if (pat.var.empty()) return next();
     auto it = nodes_.find(pat.var);
     if (it != nodes_.end()) {
@@ -191,20 +193,20 @@ class CypherOracle {
         return e.literal;
       case K::kVarRef:
       case K::kPropRef: {
-        const graphdb::PropertyMap* props = nullptr;
+        graphdb::PropertyMap props;
         uint64_t id = 0;
         if (auto n = nodes_.find(e.var); n != nodes_.end()) {
           id = n->second;
-          props = &graph_.node(id).props;
+          props = graph_.NodeProps(id);
         } else if (auto r = edges_.find(e.var); r != edges_.end()) {
           id = r->second;
-          props = &graph_.edge(id).props;
+          props = graph_.EdgeProps(id);
         } else {
           return Status::NotFound("unbound variable: " + e.var);
         }
         if (e.kind == K::kVarRef) return sql::Value(static_cast<int64_t>(id));
-        auto it = props->find(e.prop);
-        return it == props->end() ? sql::Value::Null() : it->second;
+        auto it = props.find(e.prop);
+        return it == props.end() ? sql::Value::Null() : it->second;
       }
       case K::kNot: {
         auto v = Eval(*e.lhs);

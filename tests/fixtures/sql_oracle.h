@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -121,7 +122,7 @@ class SqlOracle {
     for (const sql::SelectItem& item : stmt_->items) {
       if (item.star) {
         for (size_t a = 0; a < tables_.size(); ++a) {
-          const sql::Row& src = tables_[a]->row(tuple_[a]);
+          sql::Row src = tables_[a]->RowAt(tuple_[a]);
           o.row.insert(o.row.end(), src.begin(), src.end());
         }
         continue;
@@ -150,15 +151,19 @@ class SqlOracle {
   }
 
   Result<sql::Value> Column(const sql::Expr& e) const {
-    const sql::Value* found = nullptr;
+    std::optional<sql::Value> found;
     for (size_t a = 0; a < tables_.size(); ++a) {
       if (!e.table.empty() && aliases_[a] != e.table) continue;
       int c = tables_[a]->schema().FindColumn(e.column);
       if (c < 0) continue;
-      if (found != nullptr) return Status::InvalidArgument("ambiguous column");
-      found = &tables_[a]->row(tuple_[a])[c];
+      if (found.has_value()) {
+        return Status::InvalidArgument("ambiguous column");
+      }
+      found = tables_[a]->Cell(tuple_[a], c);
     }
-    if (found == nullptr) return Status::NotFound("unknown column: " + e.column);
+    if (!found.has_value()) {
+      return Status::NotFound("unknown column: " + e.column);
+    }
     return *found;
   }
 

@@ -346,13 +346,12 @@ TEST_F(GraphDbTest, InListUsesHashedProbe) {
 }
 
 TEST_F(GraphDbTest, FindPropHeterogeneousLookup) {
-  // FindProp takes a string_view and must not require a std::string key.
-  const Node& n = db_.graph().node(tar_);
+  // NodeProp takes a string_view and reads the cell from its column.
   std::string_view key = "exename";
-  const Value* v = n.FindProp(key);
-  ASSERT_NE(v, nullptr);
+  auto v = db_.graph().NodeProp(tar_, key);
+  ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->AsText(), "/bin/tar");
-  EXPECT_EQ(n.FindProp("no_such_prop"), nullptr);
+  EXPECT_FALSE(db_.graph().NodeProp(tar_, "no_such_prop").has_value());
 }
 
 TEST(ShardedGraphTest, AggregatedNodeIndexStatsStayExact) {
@@ -386,7 +385,7 @@ TEST(ShardedGraphTest, AggregatedNodeIndexStatsStayExact) {
   for (size_t s = 0; s < g.shard_count(); ++s) {
     for (NodeId id : g.ProbeNodes("proc", "exename", Value("/bin/dup"), s)) {
       EXPECT_EQ(g.ShardOf(id), s);
-      EXPECT_EQ(g.node(id).FindProp("exename")->AsText(), "/bin/dup");
+      EXPECT_EQ(g.NodeProp(id, "exename")->AsText(), "/bin/dup");
       ++found;
     }
   }

@@ -286,7 +286,7 @@ TEST_F(RelationalTest, IndexProbeDistinguishesIntFromText) {
   for (size_t s = 0; s < t->shard_count(); ++s) {
     for (RowId rid : t->Probe(col, Value(int64_t{1}), s)) {
       EXPECT_EQ(t->ShardOf(rid), s);
-      EXPECT_EQ(t->row(rid)[col].AsInt(), 1);
+      EXPECT_EQ(t->Cell(rid, col).AsInt(), 1);
       ++found;
     }
   }
@@ -378,14 +378,14 @@ TEST(ParallelSelectTest, AgreesWithSerialAndHonorsLimitBudget) {
 
 TEST_F(RelationalTest, ShardedRowStorageKeepsGlobalIdsDense) {
   // Row ids are global and dense in insert order even though storage is
-  // partitioned; row(id) must address through the owning shard.
+  // partitioned; Cell(id, col) must address through the owning shard.
   const Table* t = db_.FindTable("entities");
   ASSERT_NE(t, nullptr);
   EXPECT_GT(t->shard_count(), 1u);
   ASSERT_EQ(t->row_count(), 4u);
   int id_col = t->schema().FindColumn("id");
   for (RowId rid = 0; rid < t->row_count(); ++rid) {
-    EXPECT_EQ(t->row(rid)[id_col].AsInt(), static_cast<int64_t>(rid) + 1);
+    EXPECT_EQ(t->Cell(rid, id_col).AsInt(), static_cast<int64_t>(rid) + 1);
   }
 }
 
@@ -396,7 +396,8 @@ TEST_F(RelationalTest, SingleShardTablePreservesLegacyApi) {
   ASSERT_TRUE(t.Insert({Value(int64_t{7})}).ok());
   ASSERT_TRUE(t.CreateIndex("k").ok());
   EXPECT_EQ(t.shard_count(), 1u);
-  EXPECT_EQ(t.rows().size(), 2u);
+  EXPECT_EQ(t.row_count(), 2u);
+  EXPECT_EQ(t.RowAt(1), (Row{Value(int64_t{7})}));
   EXPECT_EQ(t.Probe(0, Value(int64_t{7})).size(), 2u);
   EXPECT_EQ(t.ProbeCount(0, Value(int64_t{7})), 2u);
 }

@@ -940,6 +940,33 @@ TEST(HuntServiceObsTest, SqlPlanAndWorkerCountersSumToExecStats) {
     }
     EXPECT_GT(plans[0]->counter("base_rows_scanned"), 0) << limit;
   }
+  // A query below the fan-out thresholds (a small LIMIT) runs its pipeline
+  // serially, under one `pipeline` span: plan + pipeline account for the
+  // same counters.
+  HuntRequest request = Req(
+      "SELECT e.id FROM events e WHERE e.amount >= 0 LIMIT 5",
+      QueryDialect::kSql);
+  request.profile = true;
+  auto response = service.Run(std::move(request));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().rows.row_count(), 5u);
+  std::vector<const obs::TraceSpan*> execs, plans, pipelines, workers;
+  CollectSpans(*response.value().profile, "execute", &execs);
+  CollectSpans(*response.value().profile, "plan", &plans);
+  CollectSpans(*response.value().profile, "pipeline", &pipelines);
+  CollectSpans(*response.value().profile, "morsel_worker[", &workers);
+  ASSERT_EQ(execs.size(), 1u);
+  ASSERT_EQ(plans.size(), 1u);
+  ASSERT_EQ(pipelines.size(), 1u);
+  EXPECT_TRUE(workers.empty());
+  for (const char* counter : {"base_rows_scanned", "index_probe_rows",
+                              "semijoin_seed_rows", "rows_emitted"}) {
+    EXPECT_EQ(plans[0]->counter(counter) + pipelines[0]->counter(counter),
+              execs[0]->counter(counter, -1))
+        << counter;
+  }
+  EXPECT_GT(pipelines[0]->counter("base_rows_scanned"), 0);
+  EXPECT_EQ(pipelines[0]->counter("rows_emitted"), 5);
 }
 
 TEST(HuntServiceObsTest, ConcurrentProfiledHuntsStayCoherent) {

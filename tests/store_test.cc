@@ -48,10 +48,10 @@ TEST_F(StoreTest, EveryEventRowHasMatchingGraphEdge) {
     bool found = false;
     for (graphdb::EdgeId eid : g.OutEdges(src)) {
       const graphdb::Edge& e = g.edge(eid);
-      const graphdb::Value* id = e.FindProp("id");
-      if (e.dst == dst && id != nullptr &&
+      auto id = g.EdgeProp(eid, "id");
+      if (e.dst == dst && id.has_value() &&
           id->AsInt() == static_cast<int64_t>(ev.id)) {
-        EXPECT_EQ(e.type, audit::EventOpName(ev.op));
+        EXPECT_EQ(g.EdgeTypeName(e.type_id), audit::EventOpName(ev.op));
         found = true;
         break;
       }

@@ -8,7 +8,11 @@ Validates the artifacts of `threatraptor_cli hunt ... --explain-analyze
   with a non-negative duration and an `execute` child;
 - every relational pattern span has a `plan` child (SQL candidate
   materialization), and when the pattern emitted rows, `base_rows_scanned`
-  summed over the plan span and the morsel workers is above 0;
+  summed over the plan span, the serial pipeline and the morsel workers is
+  above 0;
+- every graph pattern span not answered from the subresult cache has a
+  `plan` child whose `seed` note names the seed access path and which
+  counts `seed_candidates` and `dict_strings_checked`;
 - the captured stdout contains the expected Prometheus metric families.
 
 Usage: check_obs_smoke.py PROFILE.jsonl CAPTURED_STDOUT.txt
@@ -40,8 +44,7 @@ def check_relational_patterns(root):
         if span.get("notes", {}).get("backend") != "relational":
             continue
         counters = span.get("counters", {})
-        if (counters.get("subresult_cache_hits", 0)
-                and not counters.get("subresult_cache_misses", 0)):
+        if cache_answered(span):
             continue  # answered from the subresult cache: nothing planned
         checked += 1
         children = span.get("children", [])
@@ -49,7 +52,8 @@ def check_relational_patterns(root):
         assert plans, f"{span['name']}: no plan span: " + str(
             [c["name"] for c in children])
         workers = [c for c in children
-                   if c["name"].startswith("morsel_worker[")]
+                   if c["name"].startswith("morsel_worker[")
+                   or c["name"] == "pipeline"]
         scanned = sum(c.get("counters", {}).get("base_rows_scanned", 0)
                       for c in plans + workers)
         emitted = sum(c.get("counters", {}).get("rows_emitted", 0)
@@ -58,6 +62,38 @@ def check_relational_patterns(root):
         assert emitted == 0 or scanned > 0, (
             f"{span['name']}: {emitted} rows emitted with base_rows_scanned "
             f"0 over plan + morsel workers")
+    return checked
+
+
+def cache_answered(span):
+    counters = span.get("counters", {})
+    return bool(counters.get("subresult_cache_hits", 0)
+                and not counters.get("subresult_cache_misses", 0))
+
+
+def check_graph_patterns(root):
+    """Plan span with the seed access path under every graph pattern that
+    ran; returns the count of graph pattern spans checked."""
+    checked = 0
+    for span in walk(root):
+        if not span["name"].startswith("pattern["):
+            continue
+        if span.get("notes", {}).get("backend") != "graph":
+            continue
+        if cache_answered(span):
+            continue
+        checked += 1
+        children = span.get("children", [])
+        plans = [c for c in children if c["name"] == "plan"]
+        assert plans, f"{span['name']}: no graph plan span: " + str(
+            [c["name"] for c in children])
+        for plan in plans:
+            assert plan.get("notes", {}).get("seed"), (
+                f"{span['name']}: graph plan span without a seed note")
+            counters = plan.get("counters", {})
+            for counter in ("seed_candidates", "dict_strings_checked"):
+                assert counter in counters, (
+                    f"{span['name']}: graph plan span lacks {counter}")
     return checked
 
 
@@ -77,13 +113,15 @@ def main():
     )
     relational = check_relational_patterns(root)
     assert relational > 0, "no relational pattern span in the profile"
+    graph = sum(check_graph_patterns(tree) for tree in trees)
     with open(sys.argv[2], encoding="utf-8") as f:
         metrics = f.read()
     missing = [m for m in EXPECTED_METRICS if m not in metrics]
     assert not missing, f"missing metric families: {missing}"
     print(
         f"profile ok ({len(trees)} span tree(s), root {root['duration_us']} "
-        f"us, {relational} relational pattern(s) with plan spans); "
+        f"us, {relational} relational pattern(s) with plan spans, {graph} "
+        f"graph pattern(s) with seed plans); "
         f"{len(EXPECTED_METRICS)} expected metric families present"
     )
     return 0

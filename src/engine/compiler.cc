@@ -282,6 +282,36 @@ std::string IdListCypher(const EntitySet& ids) {
   return "[" + Join(parts, ", ") + "]";
 }
 
+/// Event attributes a graph query can test: the properties the store
+/// writes on every relationship (storage/store.cc).
+bool IsEdgeAttr(std::string_view attr) {
+  return attr == "id" || attr == "op" || attr == "start_time" ||
+         attr == "end_time" || attr == "amount";
+}
+
+/// Unsupported when `e` tests an event attribute the graph does not store
+/// on its edges (a bare value tests the object type's default attribute).
+Status CheckEdgeAttrs(const AttrExpr& e, EntityType type) {
+  switch (e.kind) {
+    case AttrExprKind::kBareValue:
+    case AttrExprKind::kCompare:
+    case AttrExprKind::kInList: {
+      std::string attr =
+          e.kind == AttrExprKind::kBareValue ? DefaultAttr(type) : e.attr;
+      if (IsEdgeAttr(attr)) return Status::OK();
+      return Status::Unsupported("event attribute '" + attr +
+                                 "' is not stored on graph edges");
+    }
+    case AttrExprKind::kAnd:
+    case AttrExprKind::kOr:
+      RAPTOR_RETURN_NOT_OK(CheckEdgeAttrs(*e.lhs, type));
+      return CheckEdgeAttrs(*e.rhs, type);
+    case AttrExprKind::kNot:
+      return CheckEdgeAttrs(*e.lhs, type);
+  }
+  return Status::Internal("unreachable attr expr kind");
+}
+
 /// The single positive op name if the op expression is exactly one op.
 const std::string* SingleOp(const OpExpr* op) {
   if (op != nullptr && op->kind == OpExprKind::kOp) return &op->op;
@@ -365,13 +395,22 @@ Result<PatternPieces> BuildSqlPieces(const AnalyzedQuery& aq,
 
 Result<DataQuery> CompilePattern(const AnalyzedQuery& aq, size_t idx,
                                  const EntityConstraints& constraints,
-                                 audit::Timestamp now) {
+                                 audit::Timestamp now,
+                                 std::optional<audit::EventId> events_above) {
   const Pattern& p = aq.query->patterns[idx];
   DataQuery out;
   out.pattern_index = idx;
 
   bool length1 = !p.path.is_path ||
                  (p.path.min_len == 1 && p.path.max_len == 1);
+  if (events_above.has_value() && !length1) {
+    return Status::InvalidArgument(
+        "an event floor needs one event per match: pattern " +
+        std::to_string(idx) + " is a multi-hop path");
+  }
+  std::string floor_cond =
+      events_above.has_value() ? "e.id > " + std::to_string(*events_above)
+                               : "";
   if (!p.path.is_path) {
     // Event pattern -> SQL on the relational backend.
     out.backend = Backend::kRelational;
@@ -382,6 +421,7 @@ Result<DataQuery> CompilePattern(const AnalyzedQuery& aq, size_t idx,
     for (auto& c : pieces.value().subject_conds) conds.push_back(std::move(c));
     for (auto& c : pieces.value().object_conds) conds.push_back(std::move(c));
     for (auto& c : pieces.value().event_conds) conds.push_back(std::move(c));
+    if (!floor_cond.empty()) conds.push_back(floor_cond);
     out.text =
         "SELECT e.id, e.subject, e.object, e.start_time, e.end_time "
         "FROM events e JOIN entities s ON e.subject = s.id "
@@ -441,7 +481,14 @@ Result<DataQuery> CompilePattern(const AnalyzedQuery& aq, size_t idx,
       match = "(s:" + subj_label + ")-[" + span + "]->(o:" + obj_label + ")";
     }
   }
-  // Windows constrain the final hop only (paths have no single extent).
+  // Windows, event filters and the event floor constrain the single event
+  // of a length-1 path, as in the SQL form; a multi-hop path has no single
+  // extent, so it drops windows and refuses event filters.
+  std::vector<const AttrExpr*> event_filters;
+  if (p.event_filter) event_filters.push_back(p.event_filter.get());
+  for (const auto& f : aq.query->global_attr_filters) {
+    event_filters.push_back(f.get());
+  }
   if (out.has_event_columns) {
     if (p.window.has_value()) {
       where.push_back(WindowToSql(*p.window, "e", now));
@@ -449,6 +496,17 @@ Result<DataQuery> CompilePattern(const AnalyzedQuery& aq, size_t idx,
     for (const TimeWindow& w : aq.query->global_windows) {
       where.push_back(WindowToSql(w, "e", now));
     }
+    for (const AttrExpr* f : event_filters) {
+      RAPTOR_RETURN_NOT_OK(CheckEdgeAttrs(*f, p.object.type));
+      auto cond = AttrExprToCypher(*f, "e", p.object.type);
+      if (!cond.ok()) return cond.status();
+      where.push_back(std::move(cond).value());
+    }
+    if (!floor_cond.empty()) where.push_back(floor_cond);
+  } else if (!event_filters.empty()) {
+    return Status::Unsupported(
+        "event filters need a length-1 path: a multi-hop path has no single "
+        "event");
   }
 
   // Multi-hop paths return pure entity pairs (path existence); many paths

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -42,10 +43,17 @@ using EntityConstraints = std::map<std::string, EntitySet>;
 
 /// Compile pattern `idx` into a data query. Event patterns and length-1
 /// paths with `->` compile to SQL or Cypher respectively; multi-hop paths
-/// always compile to Cypher.
-Result<DataQuery> CompilePattern(const tbql::AnalyzedQuery& aq, size_t idx,
-                                 const EntityConstraints& constraints,
-                                 audit::Timestamp now = 0);
+/// always compile to Cypher. A length-1 path carries its event filters and
+/// the query's global attribute filters into the Cypher WHERE over the
+/// edge properties (id, op, start_time, end_time, amount); any other event
+/// attribute, or an event filter on a multi-hop path, is Unsupported.
+/// `events_above` restricts the pattern to events with a larger id
+/// (`e.id > n`); a multi-hop path has no single event to restrict, so it
+/// gets InvalidArgument.
+Result<DataQuery> CompilePattern(
+    const tbql::AnalyzedQuery& aq, size_t idx,
+    const EntityConstraints& constraints, audit::Timestamp now = 0,
+    std::optional<audit::EventId> events_above = std::nullopt);
 
 /// Baseline: the whole query as one giant SQL statement (event patterns
 /// only; path patterns are unsupported in SQL, per the paper).

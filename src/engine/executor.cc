@@ -187,16 +187,26 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return PruningScore(aq, a) > PruningScore(aq, b);
   });
-  // Dirty-restricted passes force the restricted pattern to execute first,
-  // so its (small) match set drives constraint propagation into every
-  // dependent pattern instead of the other way around. Applied before the
-  // DAG is derived — dependencies follow execution order.
-  if (options.force_first_pattern >= 0 &&
-      static_cast<size_t>(options.force_first_pattern) < n_patterns) {
-    auto it = std::find(order.begin(), order.end(),
-                        static_cast<size_t>(options.force_first_pattern));
-    if (it != order.end()) std::rotate(order.begin(), it, it + 1);
+  // A delta pass forces its floored pattern to execute first, so its
+  // (small) match set drives constraint propagation into every dependent
+  // pattern instead of the other way around. Applied before the DAG is
+  // derived — dependencies follow execution order.
+  const size_t floored = options.event_floor.has_value()
+                             ? options.event_floor->pattern
+                             : n_patterns;
+  if (options.event_floor.has_value()) {
+    if (floored >= n_patterns) {
+      return Status::InvalidArgument("event floor names pattern " +
+                                     std::to_string(floored) + " of " +
+                                     std::to_string(n_patterns));
+    }
+    auto it = std::find(order.begin(), order.end(), floored);
+    std::rotate(order.begin(), it, it + 1);
   }
+  auto floor_of = [&](size_t idx) -> std::optional<audit::EventId> {
+    if (idx != floored) return std::nullopt;
+    return options.event_floor->above;
+  };
 
   // Network-connection entities are flow-scoped (one 5-tuple per
   // connection): a reused ip entity ID means "the same destination", which
@@ -215,9 +225,6 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   // own matched ids back in when it completes; the mutex only guards those
   // two boundary touches, never a data query.
   EntityConstraints constraints;
-  if (options.initial_constraints != nullptr) {
-    constraints = *options.initial_constraints;
-  }
   std::mutex constraints_mu;
   std::vector<std::vector<PatternMatch>> matches(n_patterns);
   // Per pattern: its data query, then its existence check if it ran one.
@@ -333,8 +340,8 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   // event at all is excessive. The check carries no LIMIT: a small one
   // would pin its scan to one thread (the storage executors fan out only
   // past parallel_min_limit), and a truly excessive pattern scans
-  // everything either way. Dirty-restricted passes skip the check — they
-  // require every pattern anyway.
+  // everything either way. Delta passes skip the check — they require
+  // every pattern anyway.
   auto run_pattern = [&](size_t idx) -> Status {
     RAPTOR_RETURN_NOT_OK(check_interrupt());
     auto pattern_start = obs::TraceSpan::Clock::now();
@@ -358,7 +365,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
       }
       pspan->Set("constraint_domain_ids", domain_ids);
     }
-    auto dq = CompilePattern(aq, idx, relevant, now);
+    auto dq = CompilePattern(aq, idx, relevant, now, floor_of(idx));
     if (!dq.ok()) return dq.status();
     query_texts[idx].push_back(dq.value().text);
     std::vector<PatternMatch>& out = matches[idx];
@@ -368,7 +375,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     if (out.empty()) {
       excessive[idx] = 1;
       if (!relevant.empty() && !options.require_all_patterns) {
-        auto unconstrained = CompilePattern(aq, idx, {}, now);
+        auto unconstrained = CompilePattern(aq, idx, {}, now, floor_of(idx));
         if (!unconstrained.ok()) return unconstrained.status();
         std::vector<PatternMatch> any;
         RAPTOR_RETURN_NOT_OK(run_data_query(unconstrained.value(), pspan, &any));
@@ -396,7 +403,9 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   // participates (ThreadPool::ParallelFor), so the schedule makes progress
   // even when every pool helper is busy elsewhere — and a one-pattern query
   // or an empty pool runs inline; a worker only blocks while some other
-  // worker is executing a pattern, so the wait always terminates.
+  // worker is executing a pattern, so the wait always terminates. Under
+  // require_all_patterns the first pattern that matches nothing stops the
+  // DAG: the result is empty whatever the rest would match.
   {
     std::vector<size_t> indegree(n_patterns, 0);
     std::vector<std::vector<size_t>> dependents(n_patterns);
@@ -412,6 +421,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     }
     size_t remaining = n_patterns;
     bool failed = false;
+    bool stopped = false;  // require_all_patterns met an empty pattern
     Status first_error;
     size_t workers = std::min(kPatternWorkers, n_patterns);
     ThreadPool::Shared().ParallelFor(workers, workers, [&](size_t) {
@@ -420,13 +430,15 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
         {
           std::unique_lock<std::mutex> lock(mu);
           cv.wait(lock, [&] {
-            return failed || remaining == 0 || !ready.empty();
+            return failed || stopped || remaining == 0 || !ready.empty();
           });
-          if (failed || remaining == 0) return;
+          if (failed || stopped || remaining == 0) return;
           idx = ready.front();
           ready.pop_front();
         }
         Status st = run_pattern(idx);
+        bool empty_stop =
+            st.ok() && options.require_all_patterns && matches[idx].empty();
         {
           std::lock_guard<std::mutex> lock(mu);
           if (!st.ok()) {
@@ -434,7 +446,13 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
               failed = true;
               first_error = st;
             }
-          } else if (!failed) {
+          } else if (empty_stop) {
+            if (!stopped) {
+              obs::Note(options.trace, "stopped_by",
+                        "pattern[" + std::to_string(idx) + "]");
+            }
+            stopped = true;
+          } else if (!failed && !stopped) {
             for (size_t dep : dependents[idx]) {
               if (--indegree[dep] == 0) ready.push_back(dep);
             }
@@ -508,9 +526,9 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   // Only excessive patterns leave the join. A pattern that propagation or
   // refilter emptied still belongs to it, so its emptiness empties the
   // result rather than being skipped — skipping it would fabricate rows
-  // that depend on the pattern order. Dirty-restricted passes demand every
-  // pattern contributes: under a restricted domain an empty pattern means
-  // "no new contribution".
+  // that depend on the pattern order. Delta passes demand every pattern
+  // contributes: under an event floor an empty pattern means "no new
+  // contribution".
   std::vector<size_t> join_order;
   bool empty_result = false;
   for (size_t i = 0; i < n_patterns; ++i) {

@@ -58,23 +58,26 @@ struct ExecOptions {
   /// Absolute deadline; exceeded at any pattern/join boundary the hunt
   /// returns Status::Timeout.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Incremental standing refreshes: entity-id domains seeded into the
-  /// shared constraint map before any pattern executes, exactly as if a
-  /// predecessor pattern had matched those ids. Restricting a shared
-  /// entity variable to the epoch's dirty ids is how the service runs a
-  /// dirty-only TBQL pass. Must outlive the call.
-  const EntityConstraints* initial_constraints = nullptr;
-  /// Require every pattern to match: when any pattern matches nothing,
-  /// return an empty result instead of excluding it from the join (the
-  /// paper's excessive-pattern tolerance), and skip the existence checks.
-  /// Dirty-restricted passes need this — under a restricted domain an
-  /// empty pattern means "no new contribution", not "pattern is
-  /// excessive".
+  /// Delta pass of a standing refresh: pattern `pattern` matches only
+  /// events with an id above `above`, and executes first, so its (small)
+  /// match set drives constraint propagation into every dependent
+  /// pattern. Event ids are dense and never reused, so a pass per pattern
+  /// with `above` at the store's last event id of the previous refresh
+  /// finds every row that binds a newer event. The pattern must have one
+  /// event per match (an event pattern or a length-1 path); a multi-hop
+  /// path gets InvalidArgument.
+  struct EventFloor {
+    size_t pattern = 0;
+    audit::EventId above = 0;
+  };
+  std::optional<EventFloor> event_floor;
+  /// Require every pattern to match: the first pattern that matches
+  /// nothing ends the pattern DAG (no later pattern starts) and the result
+  /// is empty, instead of excluding it from the join (the paper's
+  /// excessive-pattern tolerance); no existence checks run. Delta passes
+  /// need this — under a floor an empty pattern means "no new
+  /// contribution", not "pattern is excessive".
   bool require_all_patterns = false;
-  /// When >= 0, move this pattern index to the front of the execution
-  /// order so its (restricted) matches drive constraint propagation into
-  /// every dependent pattern. -1 = scheduler order.
-  int force_first_pattern = -1;
   /// Multi-query optimization: shared-subresult caches handed through to
   /// the storage executors (SelectOptions/MatchOptions::result_cache), so
   /// identical compiled data queries — shared seed probes, duplicated
@@ -107,8 +110,8 @@ struct ExecReport {
   /// Excessive patterns, excluded from the join: their data query finds no
   /// event even without propagated domains (the paper's synthesized
   /// queries may contain such patterns, which must not empty the whole
-  /// result). Under require_all_patterns: the patterns that matched
-  /// nothing under the restricted domains.
+  /// result). Under require_all_patterns: the pattern(s) found matching
+  /// nothing before the DAG stopped.
   std::vector<size_t> unmatched_patterns;
   double seconds = 0;
   /// All events matched by event patterns that survived constraint

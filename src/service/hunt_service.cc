@@ -90,11 +90,16 @@ struct StandingState {
   uint64_t last_epoch = 0;     // newest epoch reflected in `seen`
   bool baseline_done = false;  // the initial full refresh has run
 
-  /// Refresh-only: a full TBQL refresh has matched every pattern, which
-  /// makes per-pattern dirty passes sound (see TryIncrementalTbql). Reset
+  /// A full TBQL refresh has matched every pattern, which makes
+  /// per-pattern delta passes sound (see TryIncrementalTbql). Reset
   /// whenever the exclusive gate releases — retention can un-match a
-  /// pattern without an epoch bump.
+  /// pattern without an epoch bump. Written under mu_ (admission reads it
+  /// to price the next refresh).
   bool tbql_all_matched = false;
+  /// Refresh-only: the store's last event id at the last successful
+  /// refresh (W). Event ids are dense and never reused, so every row a
+  /// later refresh can newly produce binds an event above it.
+  audit::EventId event_floor = 0;
 
   // Subscriber-visible progress.
   std::mutex mu;
@@ -444,8 +449,8 @@ void HuntService::ReleaseGate() {
     // Exclusive() may have rebuilt the store (retention, checkpoint
     // compaction) without an epoch bump: cached results and the
     // all-patterns-matched latch may describe data that no longer exists.
-    // No refresh is running here (the gate drained running_), so the
-    // refresh-only flag is safe to write.
+    // No refresh is running here (the gate drained running_), so no
+    // refresh reads the latch while it clears.
     refresh_cache_.clear();
     graph_cache_.Clear();
     sql_cache_.Clear();
@@ -799,7 +804,7 @@ void HuntService::CollectMetrics(obs::MetricsRegistry* registry) const {
                     "Standing refresh executions completed",
                     count(s.standing_refreshes));
   registry->Counter("raptor_standing_incremental_total",
-                    "Refreshes that ran dirty-seeded incremental passes",
+                    "Refreshes that ran incremental delta passes",
                     count(s.standing_incremental));
   registry->Counter("raptor_standing_alerts_total",
                     "Refreshes that delivered a non-empty delta",
@@ -889,6 +894,18 @@ bool HuntService::WriterPreferredLocked() const {
 
 double HuntService::CostWeightLocked(HuntTicket::State& state) {
   if (state.cost_weight >= 0) return state.cost_weight;
+  // A standing refresh that will run delta passes reads only the events
+  // stored since its last refresh: price it at the floor instead of
+  // estimating the whole query (only TBQL hunts ever set the latch).
+  if (state.standing != nullptr) {
+    const StandingState& sub = *state.standing;
+    if (sub.baseline_done && sub.options.allow_incremental &&
+        (sub.request.dialect == QueryDialect::kCypher ||
+         sub.tbql_all_matched)) {
+      state.cost_weight = options_.min_cost_weight;
+      return state.cost_weight;
+    }
+  }
   // Safe to read index statistics here: mu_ is held and ingest_active_ is
   // false (worker predicate), and a mutation cannot start without first
   // taking mu_ in AcquireGate.
@@ -1327,8 +1344,64 @@ bool HuntService::ExpandDirtyRegion(const std::vector<audit::EntityId>& dirty,
   return true;
 }
 
+namespace {
+
+/// `text` with relationship `rel` of its first pattern part restricted
+/// to edges stored after `floor` (`AND v.id > floor`, naming the
+/// relationship when it is anonymous). The conjunct holds one variable,
+/// so the matcher checks it as the edge binds, during expansion.
+Result<std::string> WithEdgeFloor(const std::string& text, size_t rel,
+                                  audit::EventId floor, std::string* var) {
+  auto parsed = graphdb::ParseCypher(text);
+  if (!parsed.ok()) return parsed.status();
+  graphdb::CypherQuery q = std::move(parsed).value();
+  graphdb::RelPattern& r = q.patterns[0].rels[rel];
+  if (r.var.empty()) {
+    std::unordered_set<std::string> used;
+    for (const graphdb::PatternPart& part : q.patterns) {
+      for (const graphdb::NodePattern& n : part.nodes) used.insert(n.var);
+      for (const graphdb::RelPattern& e : part.rels) used.insert(e.var);
+    }
+    r.var = "new_edge";
+    while (used.count(r.var) != 0) r.var += "_";
+  }
+  *var = r.var;
+  auto cond = std::make_unique<graphdb::CypherExpr>();
+  cond->kind = graphdb::CypherExprKind::kBinary;
+  cond->op = graphdb::CypherBinaryOp::kGt;
+  cond->lhs = std::make_unique<graphdb::CypherExpr>();
+  cond->lhs->kind = graphdb::CypherExprKind::kPropRef;
+  cond->lhs->var = r.var;
+  cond->lhs->prop = "id";
+  cond->rhs = std::make_unique<graphdb::CypherExpr>();
+  cond->rhs->literal = graphdb::Value(static_cast<int64_t>(floor));
+  if (q.where != nullptr) {
+    auto both = std::make_unique<graphdb::CypherExpr>();
+    both->kind = graphdb::CypherExprKind::kBinary;
+    both->op = graphdb::CypherBinaryOp::kAnd;
+    both->lhs = std::move(q.where);
+    both->rhs = std::move(cond);
+    cond = std::move(both);
+  }
+  q.where = std::move(cond);
+  return q.ToString();
+}
+
+/// Delta-pass span attributes: the floor, what the pass restricts, and
+/// how many events were stored above the floor.
+void NoteDeltaPass(obs::TraceSpan* span, audit::EventId floor,
+                   const std::string& restricts, uint64_t new_events) {
+  if (span == nullptr) return;
+  span->Note("event_floor", std::to_string(floor));
+  span->Note("restricts", restricts);
+  span->Set("new_events", static_cast<int64_t>(new_events));
+}
+
+}  // namespace
+
 bool HuntService::TryIncrementalCypher(
     StandingState& sub, const std::vector<audit::EntityId>& dirty,
+    audit::EventId head,
     const std::optional<std::chrono::steady_clock::time_point>& deadline,
     std::vector<HuntResponse>* responses, Status* status,
     obs::TraceSpan* trace) const {
@@ -1347,38 +1420,74 @@ bool HuntService::TryIncrementalCypher(
     return false;
   }
 
-  // One pass per pattern part: rotate part j to the front (the executor's
+  // Passes per pattern part: rotate part j to the front (the executor's
   // top_seed_filter restricts the FIRST part's seeds) and seed it from the
   // dirty region expanded by part j's own radius; the delta seen-set
-  // unions the passes. Soundness: every new row contains a new edge in
-  // some part j, whose endpoints are dirty — that part's seed then lies
-  // within radii[j] hops of a dirty node, so pass j finds the row.
-  for (size_t j = 0; j < q.patterns.size(); ++j) {
-    size_t hops = std::min(radii[j], boundary.size() - 1);
-    std::unordered_set<graphdb::NodeId> filter(
-        order.begin(),
-        order.begin() + static_cast<ptrdiff_t>(boundary[hops]));
+  // unions the passes. Every new row binds an edge stored after the floor
+  // in some part j, and that edge's endpoints are dirty, so part j's seed
+  // lies within radii[j] hops of a dirty node. A part of fixed-length
+  // relationships runs one pass per relationship, restricted to edges
+  // above the floor: the pass for the new edge's relationship finds the
+  // row. A part with a variable-length relationship runs one unrestricted
+  // pass instead — a new edge inside the variable-length hop binds no
+  // variable a floor could restrict.
+  const uint64_t new_events = head - sub.event_floor;
+  auto run_pass = [&](const std::string& text, const std::string& name,
+                      const std::string& restricts,
+                      const std::unordered_set<graphdb::NodeId>& filter) {
     HuntRequest pass = sub.request;
-    pass.text = q.ToString();
-    obs::TraceSpan* pass_span =
-        obs::Child(trace, "incremental_pass[" + std::to_string(j) + "]");
+    pass.text = text;
+    obs::TraceSpan* pass_span = obs::Child(trace, name);
     obs::Set(pass_span, "seed_filter_nodes",
              static_cast<int64_t>(filter.size()));
+    NoteDeltaPass(pass_span, sub.event_floor, restricts, new_events);
     auto result = ExecuteQuery(pass, &sub.cancelled, deadline, &filter,
                                pass_span);
     obs::Finish(pass_span);
     if (!result.ok()) {
       *status = result.status();
-      return true;  // eligible, but the pass failed: report, retry later
+      return false;
     }
     responses->push_back(std::move(result).value());
+    return true;
+  };
+  for (size_t j = 0; j < q.patterns.size(); ++j) {
+    size_t hops = std::min(radii[j], boundary.size() - 1);
+    std::unordered_set<graphdb::NodeId> filter(
+        order.begin(),
+        order.begin() + static_cast<ptrdiff_t>(boundary[hops]));
+    const std::string rotated = q.ToString();
+    const std::vector<graphdb::RelPattern>& rels = q.patterns[0].rels;
+    bool varlen = std::any_of(
+        rels.begin(), rels.end(),
+        [](const graphdb::RelPattern& r) { return r.varlen; });
+    const std::string name = "incremental_pass[" + std::to_string(j);
+    if (varlen || rels.empty()) {
+      if (!run_pass(rotated, name + "]", "part[" + std::to_string(j) + "]",
+                    filter)) {
+        return true;  // eligible, but the pass failed: report, retry later
+      }
+    } else {
+      for (size_t r = 0; r < rels.size(); ++r) {
+        std::string var;
+        auto text = WithEdgeFloor(rotated, r, sub.event_floor, &var);
+        if (!text.ok()) {
+          *status = text.status();
+          return true;
+        }
+        if (!run_pass(text.value(), name + "." + std::to_string(r) + "]", var,
+                      filter)) {
+          return true;
+        }
+      }
+    }
     std::rotate(q.patterns.begin(), q.patterns.begin() + 1, q.patterns.end());
   }
   return true;
 }
 
 bool HuntService::TryIncrementalTbql(
-    StandingState& sub, const std::vector<audit::EntityId>& dirty,
+    StandingState& sub, audit::EventId head,
     const std::optional<std::chrono::steady_clock::time_point>& deadline,
     std::vector<HuntResponse>* responses, Status* status,
     obs::TraceSpan* trace) const {
@@ -1396,53 +1505,34 @@ bool HuntService::TryIncrementalTbql(
   if (!q.global_windows.empty()) return false;
   for (const tbql::Pattern& p : q.patterns) {
     if (p.window.has_value()) return false;
+    // A multi-hop path binds no single event: a new edge in the middle of
+    // a path between two old endpoints matches no floor. Full refresh.
+    if (p.path.is_path && !(p.path.min_len == 1 && p.path.max_len == 1)) {
+      return false;
+    }
   }
-  // Every pattern must expose a joinable (non-network) entity variable to
-  // constrain; an unconstrainable pattern would need a full scan anyway.
-  for (const tbql::Pattern& p : q.patterns) {
-    bool constrainable = (!p.subject.id.empty() &&
-                          p.subject.type != audit::EntityType::kNetwork) ||
-                         (!p.object.id.empty() &&
-                          p.object.type != audit::EntityType::kNetwork);
-    if (!constrainable) return false;
-  }
-  // Region guard, mirroring the Cypher fraction check: a dirty set
-  // covering most of the store makes passes slower than one full run.
-  double cap = sub.options.max_dirty_fraction *
-               static_cast<double>(store_->entity_count());
-  if (static_cast<double>(dirty.size()) > cap) return false;
-
-  engine::EntitySet dirty_set;
-  dirty_set.reserve(dirty.size());
-  for (audit::EntityId e : dirty) {
-    dirty_set.insert(static_cast<long long>(e));
+  // Delta guard, mirroring the Cypher region check: when most of the
+  // store is new, one full run beats a pass per pattern.
+  const uint64_t new_events = head - sub.event_floor;
+  if (static_cast<double>(new_events) >
+      sub.options.max_dirty_fraction *
+          static_cast<double>(store_->event_count())) {
+    return false;
   }
 
-  // One pass per pattern: force pattern k first with its entity variables
-  // pre-constrained to the dirty ids, and require every pattern to match
-  // (under a restricted domain an empty pattern means "no new rows via
-  // this pattern", not "excessive pattern"). Soundness: a new row needs a
-  // new event in some pattern k, and a stored event's subject and object
-  // are both recorded dirty — pass k's constrained domain contains them.
+  // One pass per pattern: pattern k matches only events above the floor
+  // and runs first, and every pattern must match (under the floor an empty
+  // pattern means "no new rows via this pattern", not "excessive
+  // pattern"). Soundness: every new row binds an event above the floor in
+  // some pattern k, and pass k keeps exactly those bindings.
   for (size_t k = 0; k < q.patterns.size(); ++k) {
-    const tbql::Pattern& p = q.patterns[k];
-    engine::EntityConstraints constraints;
-    if (!p.subject.id.empty() &&
-        p.subject.type != audit::EntityType::kNetwork) {
-      constraints[p.subject.id] = dirty_set;
-    }
-    if (!p.object.id.empty() &&
-        p.object.type != audit::EntityType::kNetwork) {
-      constraints[p.object.id] = dirty_set;
-    }
     HuntRequest pass = sub.request;
-    pass.exec.initial_constraints = &constraints;
-    pass.exec.force_first_pattern = static_cast<int>(k);
+    pass.exec.event_floor = engine::ExecOptions::EventFloor{k, sub.event_floor};
     pass.exec.require_all_patterns = true;
     obs::TraceSpan* pass_span =
         obs::Child(trace, "incremental_pass[" + std::to_string(k) + "]");
-    obs::Set(pass_span, "dirty_entities",
-             static_cast<int64_t>(dirty_set.size()));
+    NoteDeltaPass(pass_span, sub.event_floor,
+                  "pattern[" + std::to_string(k) + "]", new_events);
     auto result = ExecuteQuery(pass, &sub.cancelled, deadline, nullptr,
                                pass_span);
     obs::Finish(pass_span);
@@ -1458,16 +1548,22 @@ bool HuntService::TryIncrementalTbql(
 void HuntService::RunStanding(const StandingPtr& sub) {
   // Snapshot the epoch window this refresh covers. The refresh occupies a
   // running_ slot, so no ingest can advance the store mid-refresh.
+  // `head` is the store's last event id now: the next refresh's floor.
   uint64_t target = 0;
+  audit::EventId head = 0;
+  bool baseline_done = false;
   std::vector<audit::EntityId> dirty;
   bool have_dirty = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     target = epoch_;
-    if (sub->baseline_done && sub->last_epoch < target && !dirty_.empty() &&
+    head = store_->last_event_id();
+    baseline_done = sub->baseline_done;
+    if (sub->request.dialect == QueryDialect::kCypher && baseline_done &&
+        sub->last_epoch < target && !dirty_.empty() &&
         sub->last_epoch + 1 >= dirty_.front().epoch) {
       // Every epoch in (last_epoch, target] is still retained: the union
-      // of their dirty sets bounds where new rows can seed.
+      // of their dirty sets bounds where a Cypher pass's new rows seed.
       have_dirty = true;
       for (const DirtyEpoch& d : dirty_) {
         if (d.epoch > sub->last_epoch) {
@@ -1495,17 +1591,18 @@ void HuntService::RunStanding(const StandingPtr& sub) {
     root->Set("epoch", static_cast<int64_t>(target));
   }
 
-  // Incremental dirty-seeded passes (per-part Cypher rotation, per-pattern
-  // TBQL constraining); fall through to a full refresh when ineligible.
+  // Delta passes over the events stored since the last refresh (Cypher:
+  // per relationship, seeded from the dirty region; TBQL: per pattern);
+  // fall through to a full refresh when ineligible.
   std::vector<HuntResponse> responses;
   bool incremental = false;
   Status failure = Status::OK();
-  if (have_dirty && sub->options.allow_incremental) {
-    if (sub->request.dialect == QueryDialect::kCypher) {
-      incremental = TryIncrementalCypher(*sub, dirty, deadline, &responses,
-                                         &failure, root.get());
+  if (baseline_done && sub->options.allow_incremental) {
+    if (sub->request.dialect == QueryDialect::kCypher && have_dirty) {
+      incremental = TryIncrementalCypher(*sub, dirty, head, deadline,
+                                         &responses, &failure, root.get());
     } else if (sub->request.dialect == QueryDialect::kTbql) {
-      incremental = TryIncrementalTbql(*sub, dirty, deadline, &responses,
+      incremental = TryIncrementalTbql(*sub, head, deadline, &responses,
                                        &failure, root.get());
     }
   }
@@ -1598,13 +1695,12 @@ void HuntService::RunStanding(const StandingPtr& sub) {
     return;
   }
 
-  // The full TBQL refresh just proved that every pattern matches — which
-  // is what licenses later per-pattern dirty passes (see
-  // TryIncrementalTbql).
-  if (!incremental && sub->request.dialect == QueryDialect::kTbql &&
-      shared != nullptr && shared->report.unmatched_patterns.empty()) {
-    sub->tbql_all_matched = true;
-  }
+  // A full TBQL refresh that matched every pattern licenses later
+  // per-pattern delta passes (see TryIncrementalTbql).
+  bool all_matched = !incremental &&
+                     sub->request.dialect == QueryDialect::kTbql &&
+                     shared != nullptr &&
+                     shared->report.unmatched_patterns.empty();
 
   // Delta: rows never delivered before (set semantics). Incremental
   // passes and shared full refreshes alike produce a superset of the
@@ -1658,6 +1754,8 @@ void HuntService::RunStanding(const StandingPtr& sub) {
     if (!update.delta.empty()) ++stats_.standing_alerts;
     sub->last_epoch = target;
     sub->baseline_done = true;
+    sub->event_floor = head;
+    if (all_matched) sub->tbql_all_matched = true;
   }
   {
     std::lock_guard<std::mutex> lock(sub->mu);

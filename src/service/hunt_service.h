@@ -50,17 +50,24 @@
 // against every new epoch on the same admission workers (fair with
 // one-shot hunts). Each refresh delivers the rows not previously seen as
 // a RowBlocks delta to the subscriber's sink, plus an alert callback when
-// the delta is non-empty. Cypher refreshes run incrementally, one pass per
-// pattern part: the pass rotates that part to the front and restricts its
-// seeds to the nodes within the part's pattern radius of the epochs' dirty
-// entities (MatchOptions::top_seed_filter), falling back to a full re-scan
-// when the dirty region grows past a configured fraction of the graph.
-// TBQL refreshes run incrementally too, one pass per pattern: the pass
-// forces that pattern first with its entity variables pre-constrained to
-// the dirty ids (ExecOptions::initial_constraints), requiring every
-// pattern to match. Standing hunts have set semantics — each distinct row
-// is delivered once, in the first epoch it appears — so queries should be
-// monotone (LIMIT interacts poorly with re-execution and disables the
+// the delta is non-empty. Refreshes after the first read only the events
+// stored since the subscription's previous refresh: event ids are dense
+// and never reused, so every row a refresh can newly produce binds an
+// event above W, the store's last_event_id() at the previous successful
+// refresh. TBQL refreshes (once a full refresh has matched every pattern)
+// run one delta pass per pattern: ExecOptions::event_floor restricts that
+// pattern to `e.id > W` and runs it first, and every pattern must match.
+// Cypher refreshes run one pass per fixed-length relationship, with the
+// relationship's part rotated to the front, its seeds restricted to the
+// nodes within the part's radius of the epochs' dirty entities
+// (MatchOptions::top_seed_filter), and `r.id > W` checked as the edge
+// binds. Variable-length hops keep a sound fallback: a Cypher part with
+// one runs one unrestricted seeded pass, and a TBQL query with a multi-hop
+// path pattern takes a full refresh. Refreshes fall back to a full re-scan
+// when the new events (TBQL) or the dirty region (Cypher) grow past a
+// configured fraction of the store. Standing hunts have set semantics —
+// each distinct row is delivered once, in the first epoch it appears — so
+// queries should be monotone (time windows and LIMIT disable the
 // incremental path).
 //
 // Multi-query optimization (fleet scale): with hundreds of standing hunts
@@ -163,7 +170,8 @@ struct ServiceHook;
 
 /// What one ingested batch did to the store; `touched_entities` (filled by
 /// the mutation callback, e.g. from storage::AppendStats) becomes the new
-/// epoch's dirty-entity set for incremental standing hunts.
+/// epoch's dirty-entity set, which seeds incremental Cypher standing
+/// hunts.
 struct IngestReport {
   std::vector<audit::EntityId> touched_entities;
 };
@@ -177,7 +185,7 @@ struct StandingUpdate {
   /// Rows that first appeared in this refresh (set semantics: a row is
   /// delivered once, in the first epoch its query produces it).
   storage::RowBlocks<std::vector<sql::Value>> delta;
-  /// Part-0 seeds were restricted to the dirty region (vs full re-scan).
+  /// The refresh ran delta passes over the new events (vs full re-scan).
   bool incremental = false;
   size_t total_rows = 0;  // accumulated rows delivered so far (incl. delta)
   double seconds = 0;     // refresh execution time
@@ -203,13 +211,14 @@ struct StandingSink {
 };
 
 struct StandingOptions {
-  /// Allow dirty-seeded incremental refreshes (Cypher per-part rotation
-  /// passes; TBQL per-pattern constrained passes); off forces a full
-  /// re-scan every epoch.
+  /// Allow incremental refreshes (Cypher per-relationship delta passes;
+  /// TBQL per-pattern delta passes); off forces a full re-scan every
+  /// epoch.
   bool allow_incremental = true;
-  /// Fall back to a full re-scan when the dirty seed region (after radius
-  /// expansion; for TBQL, the raw dirty-entity count) exceeds this
-  /// fraction of the graph's nodes (entities).
+  /// Fall back to a full re-scan when the Cypher dirty seed region (after
+  /// radius expansion) exceeds this fraction of the graph's nodes, or the
+  /// events stored since a TBQL hunt's last refresh exceed this fraction
+  /// of the stored events.
   double max_dirty_fraction = 0.25;
 };
 
@@ -236,7 +245,7 @@ class StandingHandle {
   size_t total_rows() const;
 
   /// Per-subscription refresh attribution (MQO observability): total
-  /// refreshes delivered, how many ran dirty-seeded incremental passes,
+  /// refreshes delivered, how many ran incremental delta passes,
   /// and how many were served from a structural twin's execution (this
   /// subscription was a dedupe follower, not the leader).
   struct RefreshStats {
@@ -374,7 +383,9 @@ struct HuntServiceOptions {
   /// running hunts' estimated weights (each in [min_cost_weight, 1], 1 ≈
   /// one full scan of the store, from the executors' plan-time
   /// EstimateCost) stays within this budget; a hunt always admits when
-  /// nothing is running. <= 0 disables the cost gate (pure worker-count
+  /// nothing is running. A standing refresh that will run delta passes
+  /// weighs min_cost_weight without an estimate: it reads only the new
+  /// events. <= 0 disables the cost gate (pure worker-count
   /// admission, the legacy behavior).
   double admission_cost_budget = 2.0;
   /// Floor for a hunt's normalized cost weight, so even point lookups
@@ -390,8 +401,10 @@ struct HuntServiceOptions {
   /// counters; least-recently-active entries beyond this are pruned so
   /// the tenant map stays bounded at millions-of-users scale.
   size_t max_idle_tenants = 64;
-  /// Per-epoch dirty-entity sets retained for incremental standing hunts;
-  /// a subscriber further behind than this falls back to a full re-scan.
+  /// Per-epoch dirty-entity sets retained to seed incremental Cypher
+  /// standing hunts; a Cypher subscriber further behind than this falls
+  /// back to a full re-scan. (TBQL delta passes need only the event-id
+  /// floor.)
   size_t max_dirty_epochs = 64;
   /// Multi-query optimization, layer 1: full refreshes of
   /// structurally-identical standing hunts (equal huntlib canonical keys,
@@ -518,7 +531,7 @@ class HuntService {
     size_t ingests = 0;     // successful epoch-gated mutations
     size_t wal_records = 0; // mutations logged write-ahead
     size_t standing_refreshes = 0;    // standing executions completed
-    size_t standing_incremental = 0;  // ... that ran dirty-seeded passes
+    size_t standing_incremental = 0;  // ... that ran delta passes
     size_t standing_alerts = 0;       // ... that delivered a non-empty delta
     size_t standing_dedup_hits = 0;   // refreshes served from a structural
                                       // twin's execution (MQO layer 1)
@@ -648,9 +661,11 @@ class HuntService {
   /// caller waits for capacity). Precondition: queued_ > 0, mu_ held, no
   /// mutation holds the store (the lazy cost estimate reads index stats).
   StatePtr AdmitLocked();
-  /// `state`'s admission weight, estimated on first use (plan-time
-  /// EstimateCost normalized by store size, clamped to
-  /// [min_cost_weight, 1]). Precondition: mu_ held, no mutation active.
+  /// `state`'s admission weight, computed on first use: min_cost_weight
+  /// for a standing refresh that will run delta passes (baseline done,
+  /// incremental allowed, Cypher or a latched all-matched TBQL hunt),
+  /// else the plan-time EstimateCost normalized by store size, clamped to
+  /// [min_cost_weight, 1]. Precondition: mu_ held, no mutation active.
   double CostWeightLocked(HuntTicket::State& state);
   /// A waiting writer currently outranks hunt admission (bounded
   /// preference not yet exhausted). Precondition: mu_ held.
@@ -693,24 +708,30 @@ class HuntService {
                          size_t max_hops, double max_fraction,
                          std::vector<graphdb::NodeId>* bfs_order,
                          std::vector<size_t>* hop_boundary) const;
-  /// Incremental Cypher refresh: one pass per pattern part, rotating that
-  /// part to the front with its seeds restricted to the dirty region
-  /// expanded by the part's own radius. True: the query was eligible and
-  /// the passes ran (`status` carries any execution failure); false: not
-  /// eligible (unparseable, LIMIT, region too large) — run a full refresh.
+  /// Incremental Cypher refresh: per pattern part, rotated to the front
+  /// with its seeds restricted to the dirty region expanded by the part's
+  /// own radius, one pass per fixed-length relationship restricted to
+  /// edges above the subscription's event floor (one unrestricted pass for
+  /// a part with a variable-length relationship). `head` is the store's
+  /// last event id. True: the query was eligible and the passes ran
+  /// (`status` carries any execution failure); false: not eligible
+  /// (unparseable, LIMIT, region too large) — run a full refresh.
   bool TryIncrementalCypher(
       StandingState& sub, const std::vector<audit::EntityId>& dirty,
+      audit::EventId head,
       const std::optional<std::chrono::steady_clock::time_point>& deadline,
       std::vector<HuntResponse>* responses, Status* status,
       obs::TraceSpan* trace) const;
-  /// Incremental TBQL refresh: one pass per pattern, forcing that pattern
-  /// first with its entity variables pre-constrained to the dirty ids and
-  /// every pattern required to match. Same contract as the Cypher variant;
-  /// additionally ineligible with time windows (non-monotone) or before a
-  /// full refresh has matched every pattern (excessive-pattern tolerance
-  /// makes partial joins non-monotone).
+  /// Incremental TBQL refresh: one pass per pattern, restricting that
+  /// pattern to events above the subscription's event floor and running
+  /// it first, with every pattern required to match. Same contract as the
+  /// Cypher variant; additionally ineligible with time windows
+  /// (non-monotone), with a multi-hop path pattern (a new middle edge
+  /// matches no floor), when the new events outgrow max_dirty_fraction of
+  /// the store, or before a full refresh has matched every pattern
+  /// (excessive-pattern tolerance makes partial joins non-monotone).
   bool TryIncrementalTbql(
-      StandingState& sub, const std::vector<audit::EntityId>& dirty,
+      StandingState& sub, audit::EventId head,
       const std::optional<std::chrono::steady_clock::time_point>& deadline,
       std::vector<HuntResponse>* responses, Status* status,
       obs::TraceSpan* trace) const;

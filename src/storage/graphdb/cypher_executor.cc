@@ -1375,12 +1375,28 @@ Result<GraphBlockResult> ExecuteCypherBlocks(const CypherQuery& query,
   // Intern every pattern variable into a dense slot up front; the frame
   // binding and the evaluator resolve variables through this table.
   VarTable vars;
+  std::unordered_set<std::string> varlen_vars;
   for (const PatternPart& part : query.patterns) {
     for (const NodePattern& n : part.nodes) {
       if (!n.var.empty()) vars.nodes.Intern(n.var);
     }
     for (const RelPattern& r : part.rels) {
       if (!r.var.empty()) vars.edges.Intern(r.var);
+      if (!r.var.empty() && r.varlen) varlen_vars.insert(r.var);
+    }
+  }
+  // A variable-length relationship binds no single edge, so a WHERE
+  // condition on its variable has nothing to test: refuse it rather than
+  // drop it.
+  if (query.where != nullptr && !varlen_vars.empty()) {
+    std::unordered_set<std::string> where_vars;
+    CollectVars(*query.where, &where_vars);
+    for (const std::string& v : where_vars) {
+      if (varlen_vars.count(v) != 0) {
+        return Status::InvalidArgument(
+            "WHERE references variable-length relationship '" + v +
+            "', which binds no single edge");
+      }
     }
   }
 

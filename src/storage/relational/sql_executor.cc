@@ -266,6 +266,12 @@ class ColumnPredicate {
     // and a positive IN list.
     if (!p.negate_ && in_list && !e->negated) p.index_in_ = &e->in_list;
     if (!p.negate_ && !in_list && op == BinaryOp::kEq) p.index_eq_ = lit;
+    // The range access path: `col > int` / `col >= int` (mirrored forms
+    // included) on a column whose cells ascend in row order.
+    if (!p.negate_ && !in_list && lit->is_int() &&
+        (op == BinaryOp::kGt || op == BinaryOp::kGe)) {
+      p.range_floor_ = lit->AsInt();
+    }
     // Text-literal string predicates: the shared kernel, on every shard.
     using StrOp = storage::StringPredicate::Op;
     std::vector<std::string> needles;
@@ -362,6 +368,10 @@ class ColumnPredicate {
   int col_idx() const { return col_idx_; }  // -1: not a column filter
   const Value* index_eq() const { return index_eq_; }
   const std::vector<Value>* index_in() const { return index_in_; }
+  /// The literal of a positive `col > int` / `col >= int` filter (the
+  /// range access path's bound); nullopt for every other shape.
+  std::optional<int64_t> range_floor() const { return range_floor_; }
+  bool range_inclusive() const { return op_ == BinaryOp::kGe; }
 
  private:
   enum class Mode : uint8_t {
@@ -444,6 +454,7 @@ class ColumnPredicate {
   int col_idx_ = -1;
   const Value* index_eq_ = nullptr;
   const std::vector<Value>* index_in_ = nullptr;
+  std::optional<int64_t> range_floor_;
   BinaryOp op_ = BinaryOp::kEq;
   bool negate_ = false;  // an odd number of NOTs / a negated operator
   int64_t int_lit_ = 0;
@@ -517,27 +528,32 @@ struct Conjunct {
   bool applied = false;
 };
 
-/// An index access path of one alias: its cheapest indexed `col = literal`
-/// or non-negated `col IN (...)` conjunct, or a dictionary seek (the
-/// strings of an indexed column's dictionary that a string predicate
-/// accepts, storage/string_predicate.h), with the exact candidate count
-/// summed over every shard (for IN and the seek, the per-value counts: an
-/// upper bound on the deduplicated union).
+/// An access path of one alias: its cheapest indexed `col = literal` or
+/// non-negated `col IN (...)` conjunct, a range (the row-id suffix whose
+/// cells pass `col > k` / `col >= k` on an ascending column), or a
+/// dictionary seek (the strings of an indexed column's dictionary that a
+/// string predicate accepts, storage/string_predicate.h), with the exact
+/// candidate count summed over every shard (for IN and the seek, the
+/// per-value counts: an upper bound on the deduplicated union).
 struct AccessPath {
-  int col_idx = -1;  // -1: no conjunct probes an index
+  int col_idx = -1;  // -1: no conjunct serves as an access path
   const Value* eq = nullptr;
   const std::vector<Value>* in = nullptr;
   std::vector<Value> seek;  // dictionary seek: the accepted strings
   bool is_seek = false;
   size_t count = static_cast<size_t>(-1);
+  bool is_range = false;
+  RowId range_first = 0;  // range: rows [range_first, row_count) pass
 };
 
 /// Rank the index probes among an alias's compiled single-table filters by
 /// Table::ProbeCount (no materialization) and return the cheapest — the
 /// same cheapest-access-path choice the graph matcher makes through
-/// ProbeCountNodes. Then offer each filter's dictionary seek: walked only
-/// while its dictionary is smaller than the cheapest path so far (a full
-/// scan without one), polling `interrupted`; a fired poll returns nullopt.
+/// ProbeCountNodes. A range on an ascending column competes with its exact
+/// suffix length, taken only when it skips at least one row. Then offer
+/// each filter's dictionary seek: walked only while its dictionary is
+/// smaller than the cheapest path so far (a full scan without one),
+/// polling `interrupted`; a fired poll returns nullopt.
 template <class Interrupted>
 std::optional<AccessPath> BestAccessPath(
     const std::vector<ColumnPredicate>& compiled, const Table& table,
@@ -558,6 +574,21 @@ std::optional<AccessPath> BestAccessPath(
       }
     }
     if (path.count < best.count) best = path;
+  }
+  for (const ColumnPredicate& cp : compiled) {
+    if (!cp.range_floor().has_value() || !table.Ascending(cp.col_idx())) {
+      continue;
+    }
+    RowId first = table.FirstRowAbove(cp.col_idx(), *cp.range_floor(),
+                                      cp.range_inclusive());
+    size_t count = table.row_count() - first;
+    if (first > 0 && count < best.count) {
+      best = AccessPath{};
+      best.col_idx = cp.col_idx();
+      best.is_range = true;
+      best.range_first = first;
+      best.count = count;
+    }
   }
   for (const ColumnPredicate& cp : compiled) {
     const storage::StringPredicate* strings = cp.Seekable();
@@ -1135,7 +1166,12 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       access[a] = "semijoin(" + column_name(a, sj_col) + ")";
     } else if (paths[a].col_idx >= 0) {
       const AccessPath& path = paths[a];
-      if (path.eq != nullptr) {
+      if (path.is_range) {
+        seed.reserve(path.count);
+        for (RowId rid = path.range_first; rid < table->row_count(); ++rid) {
+          seed.push_back(rid);
+        }
+      } else if (path.eq != nullptr) {
         probe_into_seed(path.col_idx, *path.eq);
       } else {
         for (const Value& v : path.is_seek ? path.seek : *path.in) {
@@ -1143,10 +1179,12 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
         }
       }
       stats->index_probe_rows += seed.size();
-      access[a] = path.is_seek
-                      ? "dict(" + column_name(a, path.col_idx) + "," +
-                            std::to_string(path.seek.size()) + ")"
-                      : "index(" + column_name(a, path.col_idx) + ")";
+      const std::string col = column_name(a, path.col_idx);
+      access[a] = path.is_range ? "range(" + col + ")"
+                  : path.is_seek
+                      ? "dict(" + col + "," + std::to_string(path.seek.size()) +
+                            ")"
+                      : "index(" + col + ")";
     } else {
       seeded = false;
       access[a] = "scan";

@@ -5,13 +5,16 @@
 //  * WHERE/ON conjuncts are classified into single-table pushdown filters,
 //    equi-join predicates, and residual (cross-pattern) predicates;
 //  * base tables are filtered first, in ascending order of their cheapest
-//    hash-index equality / IN probe (ranked by exact per-shard
+//    hash-index equality / IN probe or range (ranked by exact per-shard
 //    cardinality; a full scan without one); a table left empty ends the
-//    query (joins are inner). A table with an indexed equi-join column
-//    whose partner is already filtered is seeded by probing that index
-//    with the partner's distinct keys when that fetches fewer rows than
-//    its own best probe (semi-join seeding); the join conjunct still runs
-//    in the hash join;
+//    query (joins are inner). A range serves `col > int` / `col >= int`
+//    on a column whose int cells ascend in row order (Table::Ascending,
+//    e.g. the dense event ids): a binary search finds the first passing
+//    row, and the suffix from it is the seed. A table with an indexed
+//    equi-join column whose partner is already filtered is seeded by
+//    probing that index with the partner's distinct keys when that
+//    fetches fewer rows than its own best probe (semi-join seeding); the
+//    join conjunct still runs in the hash join;
 //  * single-table filters of the shape `col op literal` / `col IN (...)`
 //    / `col [NOT] LIKE 'text'` compile against the table's frozen
 //    columnar storage (table.h / storage/columnar.h): int comparisons

@@ -1,5 +1,7 @@
 #include "storage/relational/table.h"
 
+#include <limits>
+
 #include "common/strings.h"
 
 namespace raptor::sql {
@@ -28,6 +30,8 @@ Table::Table(std::string name, Schema schema, size_t shard_count)
   shards_.resize(layout_.count());
   for (Shard& s : shards_) s.cols.resize(schema_.size());
   col_dicts_.resize(schema_.size());
+  ascending_.assign(schema_.size(), 1);
+  last_int_.assign(schema_.size(), std::numeric_limits<int64_t>::min());
 }
 
 Status Table::Insert(Row row) {
@@ -43,9 +47,32 @@ Status Table::Insert(Row row) {
   }
   size_t pos = shard.rows++;  // == layout_.LocalOf(id)
   for (size_t c = 0; c < row.size(); ++c) {
+    if (!row[c].is_int()) {
+      ascending_[c] = 0;
+    } else {
+      int64_t v = row[c].AsInt();
+      if (v < last_int_[c]) ascending_[c] = 0;
+      last_int_[c] = v;
+    }
     shard.cols[c].Append(pos, row[c], &col_dicts_[c]);
   }
   return Status::OK();
+}
+
+RowId Table::FirstRowAbove(int column_idx, int64_t k, bool inclusive) const {
+  RowId lo = 0, hi = row_count_;
+  while (lo < hi) {
+    RowId mid = lo + (hi - lo) / 2;
+    int64_t v = 0;
+    ColumnSlice(layout_.ShardOf(mid), column_idx)
+        .IntAt(layout_.LocalOf(mid), &v);
+    if (inclusive ? v >= k : v > k) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
 }
 
 Row Table::RowAt(RowId id) const {

@@ -91,6 +91,18 @@ class Table {
   /// materializing the union (exact for any shard count).
   size_t ProbeCount(int column_idx, const Value& v) const;
 
+  /// True while every cell of `column_idx` is an int and the cells do not
+  /// decrease in row-id order (an empty column ascends). Insert keeps it
+  /// with one comparison per int cell; a non-int cell or a smaller value
+  /// clears it for good.
+  bool Ascending(int column_idx) const { return ascending_[column_idx] != 0; }
+
+  /// The first row id whose `column_idx` cell is > `k` (>= `k` when
+  /// `inclusive`), row_count() when there is none: a binary search, so
+  /// every row from it on satisfies the comparison and none before it.
+  /// Precondition: Ascending(column_idx).
+  RowId FirstRowAbove(int column_idx, int64_t k, bool inclusive) const;
+
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
@@ -151,6 +163,8 @@ class Table {
   Schema schema_;
   std::vector<Shard> shards_;
   std::vector<StringInterner> col_dicts_;  // one dictionary per column
+  std::vector<char> ascending_;            // per column, see Ascending()
+  std::vector<int64_t> last_int_;          // per column, the newest int cell
   storage::ShardLayout layout_;
   size_t row_count_ = 0;
 };

@@ -1133,6 +1133,87 @@ TEST(StringPredicateTest, SqlEdgeCasesMatchOracle) {
 }
 
 
+// ------------------------------------------------------------ range access
+
+/// `col > k` / `col >= k` on a column whose int cells ascend in row order
+/// seeds from the row suffix a binary search finds: `ev.id` ascends
+/// strictly, `ev.grp` with duplicates; `ev.op` is indexed, so the
+/// cheaper of the op bucket and the range wins. Every shape must equal
+/// the oracle serial, morsel and under each LIMIT, and the plan note must
+/// name `range(col)` exactly where the range skips rows.
+TEST(SqlRangeAccessTest, AscendingColumnsMatchOracle) {
+  sql::Database db(4);
+  BuildEventEntityTables(&db);
+  ASSERT_TRUE(db.CreateTable("r", sql::Schema({{"id", sql::ColumnType::kInt64},
+                                               {"grp", sql::ColumnType::kInt64},
+                                               {"op", sql::ColumnType::kText}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateIndex("r", "op").ok());
+  static const char* kOps[] = {"read", "write", "read", "execute"};
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(db.Insert("r", {sql::Value(static_cast<int64_t>(10 + i)),
+                                sql::Value(static_cast<int64_t>(i / 4)),
+                                sql::Value(kOps[i % 4])})
+                    .ok());
+  }
+  struct Shape {
+    const char* where;
+    const char* note;  // expected plan note
+    size_t rows;
+  } shapes[] = {
+      {"id > 40", "r=range(id)", 29},        // k inside the range
+      {"id >= 40", "r=range(id)", 30},
+      {"40 < id", "r=range(id)", 29},        // mirrored
+      {"id > 5", "r=scan", 60},              // k below: nothing to skip
+      {"id >= 10", "r=scan", 60},
+      {"id > 69", "r=range(id)", 0},         // k above the range
+      {"id > 1000", "r=range(id)", 0},
+      {"grp >= 10", "r=range(grp)", 20},     // duplicates at the boundary
+      {"grp > 10", "r=range(grp)", 16},
+      {"NOT (id > 40)", "r=scan", 31},       // negated: no range
+      {"id < 40", "r=scan", 30},             // below-bounds are not served
+      {"id > 40 AND op = 'execute'", "r=index(op)", 8},  // 15 < 29
+      {"id > 62 AND op = 'read'", "r=range(id)", 3},    // 7 < 30
+  };
+  std::vector<CatalogQuery> catalog;
+  for (const Shape& shape : shapes) {
+    catalog.push_back(
+        {std::string("SELECT id, grp, op FROM r WHERE ") + shape.where, false});
+  }
+  // The event side of a join, as a TBQL delta pass compiles it.
+  catalog.push_back(
+      {"SELECT e.id, s.name FROM ev e JOIN ent s ON e.subject = s.id "
+       "WHERE e.id > 230 AND s.type = 'proc'",
+       false});
+  std::vector<size_t> full_rows = CheckSqlCatalog(db, catalog);
+  ASSERT_EQ(full_rows.size(), catalog.size());
+  for (size_t i = 0; i < std::size(shapes); ++i) {
+    SCOPED_TRACE(shapes[i].where);
+    EXPECT_EQ(full_rows[i], shapes[i].rows);
+    PlanProbe probe = ProbeSql(db, catalog[i].text);
+    EXPECT_EQ(probe.note, shapes[i].note);
+    EXPECT_EQ(probe.rows, shapes[i].rows);
+  }
+  EXPECT_EQ(full_rows.back(), 9u);
+  EXPECT_EQ(ProbeSql(db, catalog.back().text).note,
+            "e=range(id) s=semijoin(id)");
+
+  // One out-of-order insert ends the column's ascent for good: the same
+  // shapes fall back to their other paths and still match the oracle.
+  ASSERT_TRUE(db.Insert("r", {sql::Value(static_cast<int64_t>(50)),
+                              sql::Value(static_cast<int64_t>(0)),
+                              sql::Value("read")})
+                  .ok());
+  std::vector<CatalogQuery> after = {catalog[0], catalog[7], catalog[12]};
+  full_rows = CheckSqlCatalog(db, after);
+  ASSERT_EQ(full_rows.size(), after.size());
+  EXPECT_EQ(full_rows[0], 30u);
+  EXPECT_EQ(full_rows[1], 20u);
+  EXPECT_EQ(ProbeSql(db, after[0].text).note, "r=scan");
+  EXPECT_EQ(ProbeSql(db, after[1].text).note, "r=scan");
+  EXPECT_EQ(ProbeSql(db, after[2].text).note, "r=index(op)");
+}
+
 // ----------------------------------------------------------------- TBQL
 
 /// Counts across a batch of TBQL checks: queries that returned rows, and
@@ -1598,6 +1679,70 @@ TEST(TbqlDifferentialTest, RandomQueriesMatchOracle) {
   EXPECT_GE(tally.with_rows * 3, tally.queries);
   EXPECT_GE(tally.emptied_by_propagation, 1u);
   EXPECT_GE(tally.emptied_by_refilter, 1u);
+}
+
+/// A length-1 path is the event pattern on the graph backend, filters
+/// included: each event pattern and its ToLength1PathQuery form return
+/// equal rows and matched events on one store, with event filters and
+/// global attribute filters over the attributes the graph stores on its
+/// edges. Any other event attribute, and an event filter on a multi-hop
+/// path, is Unsupported instead of dropped.
+TEST(TbqlDifferentialTest, PathFormKeepsEventFilters) {
+  Rng rng(4242);
+  auto store = RandomTbqlStore(rng);
+  fixtures::TbqlOracle oracle(*store);
+  engine::TbqlExecutor executor(store.get());
+  struct Case {
+    const char* filtered;
+    const char* unfiltered;
+  } cases[] = {
+      {"proc p read file f as e[amount > 2500] return p, f, e.amount",
+       "proc p read file f as e return p, f, e.amount"},
+      {"amount > 2500 proc p read || write file f return distinct p, f",
+       "proc p read || write file f return distinct p, f"},
+      {"proc p read file f as e1[amount > 3000 && op = \"read\"] "
+       "proc p write file g as e2 return distinct p, f, g",
+       "proc p read file f as e1 proc p write file g as e2 "
+       "return distinct p, f, g"},
+      {"start_time >= 12000000 proc p read file f as e[amount <= 4000] "
+       "return p, f",
+       "proc p read file f as e return p, f"},
+      {"proc p write file f as e[id > 20] return p, f",
+       "proc p write file f as e return p, f"},
+  };
+  TbqlTally tally;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.filtered);
+    auto query = tbql::ParseTbql(c.filtered);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    auto events = executor.Execute(query.value());
+    ASSERT_TRUE(events.ok()) << events.status().ToString();
+    auto paths = executor.Execute(engine::ToLength1PathQuery(query.value()));
+    ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+    EXPECT_EQ(RenderTbqlRows(paths.value().results.rows),
+              RenderTbqlRows(events.value().results.rows));
+    EXPECT_EQ(paths.value().matched_event_ids,
+              events.value().matched_event_ids);
+    CheckTbql(oracle, query.value(), events.value(), &tally);
+    // The filter really filters.
+    auto all = executor.ExecuteText(c.unfiltered);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    EXPECT_FALSE(events.value().results.rows.empty());
+    EXPECT_LT(events.value().matched_event_ids.size(),
+              all.value().matched_event_ids.size());
+  }
+  for (const char* text : {
+           "proc p ->[read] file f as e[failure_code = 0] return p, f",
+           "failure_code = 0 proc p ->[read] file f return p, f",
+           "proc p ->[read] file f as e[\"x\"] return p, f",
+           "proc p ~>(1~3)[read] file f as e[amount > 10] return p, f",
+           "amount > 10 proc p ~>(2~3) file f return p, f",
+       }) {
+    auto report = executor.ExecuteText(text);
+    ASSERT_FALSE(report.ok()) << text;
+    EXPECT_EQ(report.status().code(), StatusCode::kUnsupported)
+        << text << ": " << report.status().ToString();
+  }
 }
 
 TEST(TbqlDifferentialTest, OpDisjunctionIsAnIndexAccess) {

@@ -214,6 +214,54 @@ TEST_F(EngineTest, ZeroMatchPatternDoesNotEmptyResult) {
   EXPECT_EQ(report.results.rows[0][0], "/bin/tar");
 }
 
+/// A delta pass: the floored pattern matches only events above the floor
+/// and executes first; under require_all_patterns a pattern that matches
+/// nothing ends the pattern DAG. A multi-hop path has no single event to
+/// floor.
+TEST_F(EngineTest, EventFloorRestrictsOnePatternAndRunsFirst) {
+  audit::EventId write_id = 0;
+  for (const audit::SystemEvent& ev : store_.events()) {
+    if (ev.op == audit::EventOp::kWrite) write_id = ev.id;
+  }
+  ASSERT_GT(write_id, 0u);
+  const char* joined =
+      "proc p read file f as e1 proc p write file g as e2 return p, f, g";
+  ExecOptions opts;
+  opts.require_all_patterns = true;
+  opts.event_floor = ExecOptions::EventFloor{1, write_id - 1};
+  auto hit = Run(joined, opts);
+  ASSERT_EQ(hit.results.rows.size(), 1u);
+  EXPECT_EQ(hit.results.rows[0][2], "/tmp/out.tar");
+  ASSERT_EQ(hit.executed_queries.size(), 2u);
+  EXPECT_NE(hit.executed_queries[0].find(
+                "e.id > " + std::to_string(write_id - 1)),
+            std::string::npos)
+      << hit.executed_queries[0];
+
+  // Nothing above the floor: the floored pattern runs alone and stops the
+  // DAG.
+  opts.event_floor = ExecOptions::EventFloor{1, write_id};
+  auto miss = Run(joined, opts);
+  EXPECT_TRUE(miss.results.rows.empty());
+  EXPECT_EQ(miss.executed_queries.size(), 1u);
+  EXPECT_EQ(miss.unmatched_patterns, std::vector<size_t>{1});
+
+  // A length-1 path floors its edge in Cypher.
+  opts.event_floor = ExecOptions::EventFloor{0, write_id - 1};
+  auto path = Run("proc p ->[write] file g return p, g", opts);
+  ASSERT_EQ(path.results.rows.size(), 1u);
+  EXPECT_NE(path.executed_queries[0].find("e.id > "), std::string::npos);
+
+  TbqlExecutor executor(&store_);
+  opts.event_floor = ExecOptions::EventFloor{0, 0};
+  auto multi_hop = executor.ExecuteText(
+      "proc p ~>(2~2) file f return p, f", opts);
+  EXPECT_EQ(multi_hop.status().code(), StatusCode::kInvalidArgument);
+  opts.event_floor = ExecOptions::EventFloor{2, 0};
+  auto out_of_range = executor.ExecuteText(joined, opts);
+  EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
+}
+
 /// Run `query` on a fresh store holding only `recs`.
 ExecReport RunOnRecords(const std::vector<audit::SyscallRecord>& recs,
                         const char* query) {

@@ -119,6 +119,22 @@ TEST_F(GraphDbTest, VariableLengthRespectsMinimum) {
   EXPECT_TRUE(rs.value().rows.empty());
 }
 
+TEST_F(GraphDbTest, WhereOnVariableLengthRelationshipIsRefused) {
+  // A variable-length relationship binds no single edge: a condition on
+  // its variable, alone or joined with another variable, is an error
+  // instead of a silently dropped filter.
+  for (const char* text : {
+           "MATCH (p:proc)-[r*1..2]->(f:file) WHERE r.start_time > 100 "
+           "RETURN f.name",
+           "MATCH (p:proc)-[r*1..2]->(f:file) WHERE r.start_time > "
+           "p.pid RETURN f.name",
+       }) {
+    auto rs = db_.Query(text);
+    ASSERT_FALSE(rs.ok()) << text;
+    EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
 TEST_F(GraphDbTest, TemporalWhereAcrossEdges) {
   auto rs = db_.Query(
       "MATCH (p1:proc)-[e1:read]->(f1:file), (p1)-[e2:write]->(f2:file) "

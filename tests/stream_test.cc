@@ -3,7 +3,7 @@
 // deltas over N streamed batches must be row-identical (as distinct-row
 // sets — standing deltas have set semantics) to a one-shot hunt over the
 // fully-ingested store, crossed with parallel_shards {1, 4} and with the
-// incremental (dirty-seeded) and full re-scan refresh paths. Runs under
+// incremental (delta-pass) and full re-scan refresh paths. Runs under
 // the TSan CI job (ingest worker + concurrent standing refreshes).
 #include <gtest/gtest.h>
 
@@ -447,9 +447,35 @@ void RunStandingDifferential(int parallel_shards) {
     tbql.dialect = QueryDialect::kTbql;
     tbql.text = "proc p read file f return p, f";
     cases.push_back({"tbql-full", tbql, full});
-    // TBQL dirty seeding: once a full refresh has matched every pattern,
-    // later refreshes constrain each pattern to the dirty entities.
+    // TBQL delta passes: once a full refresh has matched every pattern,
+    // later refreshes run one pass per pattern over the events stored
+    // since the previous refresh.
     cases.push_back({"tbql-incremental", tbql, incremental});
+    // Two joined patterns: a new read joins old writes and vice versa.
+    HuntRequest joined;
+    joined.dialect = QueryDialect::kTbql;
+    joined.text =
+        "proc p read file f as e1 proc p write file g as e2 "
+        "return distinct p, f, g";
+    cases.push_back({"tbql-joined-incremental", joined, incremental});
+    // A length-1 path pattern: its floor is a Cypher `e.id > W`.
+    HuntRequest edge;
+    edge.dialect = QueryDialect::kTbql;
+    edge.text = "proc p ->[read] file f return p, f";
+    cases.push_back({"tbql-edge-incremental", edge, incremental});
+    // Multi-hop paths: a new middle edge can complete a path whose two
+    // endpoints are both old, which no per-pattern event floor sees. The
+    // TBQL refresh falls back to a full run; the Cypher part with the
+    // variable-length relationship keeps an unrestricted seeded pass.
+    HuntRequest path;
+    path.dialect = QueryDialect::kTbql;
+    path.text = "proc p ~>(2~3) file f return p, f";
+    cases.push_back({"tbql-path-incremental", path, incremental});
+    HuntRequest varlen;
+    varlen.dialect = QueryDialect::kCypher;
+    varlen.text =
+        "MATCH (p:proc)-[*2..3]->(f:file) RETURN DISTINCT p.exename, f.name";
+    cases.push_back({"cypher-varlen-incremental", varlen, incremental});
   }
   std::vector<DeltaCollector> collectors(cases.size());
   std::vector<service::StandingHandle> handles;
@@ -533,7 +559,7 @@ void RunStandingDifferential(int parallel_shards) {
     EXPECT_GT(collectors[i].updates, 2u);
     EXPECT_GT(collectors[i].alerts, 0u);
   }
-  // The dirty-seeded path genuinely ran for the incremental subscription.
+  // The delta passes genuinely ran for the incremental subscriptions.
   EXPECT_GT(service.stats().standing_incremental, 0u);
   EXPECT_GT(service.stats().standing_refreshes,
             service.stats().standing_incremental);
@@ -543,6 +569,158 @@ TEST(StandingHuntTest, DeltasMatchOneShotSerial) { RunStandingDifferential(1); }
 
 TEST(StandingHuntTest, DeltasMatchOneShotSharded) {
   RunStandingDifferential(4);
+}
+
+/// Depth-first collect of every span whose name starts with `prefix`.
+void CollectSpans(const obs::TraceSpan& span, const std::string& prefix,
+                  std::vector<const obs::TraceSpan*>* out) {
+  if (span.name().rfind(prefix, 0) == 0) out->push_back(&span);
+  for (const auto& child : span.children()) CollectSpans(*child, prefix, out);
+}
+
+std::string NoteOf(const obs::TraceSpan& span, const std::string& key) {
+  for (const auto& [k, v] : span.notes()) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+/// A profiled delta refresh explains itself: each incremental pass notes
+/// its event floor and what it restricts and counts the events above the
+/// floor, and the floored TBQL pattern's SQL plan takes the event-id
+/// range.
+TEST(StandingHuntTest, ProfiledDeltaRefreshNotesFloorAndRange) {
+  storage::AuditStore store;
+  ASSERT_TRUE(store.Load(audit::ParsedLog{}).ok());
+  HuntService service(&store);
+  StandingOptions incremental;
+  incremental.max_dirty_fraction = 1.0;
+
+  struct Sub {
+    HuntRequest request;
+    std::mutex mu;
+    std::shared_ptr<const obs::TraceSpan> last_profile;
+    bool last_incremental = false;
+    service::StandingHandle handle;
+  };
+  Sub tbql, cypher;
+  tbql.request.text = "proc p read file f return p, f";
+  cypher.request.dialect = QueryDialect::kCypher;
+  cypher.request.text =
+      "MATCH (p:proc)-[:read]->(f:file) RETURN p.exename, f.name";
+  for (Sub* sub : {&tbql, &cypher}) {
+    sub->request.profile = true;
+    StandingSink sink;
+    sink.on_update = [sub](const StandingUpdate& u) {
+      std::lock_guard<std::mutex> lock(sub->mu);
+      sub->last_profile = u.profile;
+      sub->last_incremental = u.incremental;
+    };
+    sub->handle = service.SubmitStanding(sub->request, sink, incremental);
+  }
+
+  audit::AuditLogParser parser;
+  audit::ParsedLog accum;
+  auto ingest = [&](const char* exe, int pid, const char* file,
+                    long long at) {
+    std::vector<audit::AttackStep> steps = {FileReadStep(exe, pid, file, 3, 0)};
+    ASSERT_TRUE(ApplyBatch(&store, &service, &parser, &accum,
+                           audit::CompileAttackScript(steps, at, 3))
+                    .ok());
+    for (Sub* sub : {&tbql, &cypher}) {
+      ASSERT_TRUE(sub->handle.WaitEpoch(service.epoch(), 30'000'000));
+    }
+  };
+  ingest("/bin/cat", 11, "/data/a", 1'000'000);
+  const audit::EventId floor = store.last_event_id();
+  ingest("/bin/less", 12, "/data/b", 50'000'000);
+  const int64_t new_events =
+      static_cast<int64_t>(store.last_event_id() - floor);
+  ASSERT_GT(new_events, 0);
+
+  struct Expect {
+    Sub* sub;
+    const char* pass;
+    const char* restricts;
+  } expects[] = {{&tbql, "incremental_pass[0]", "pattern[0]"},
+                 {&cypher, "incremental_pass[0.0]", "new_edge"}};
+  for (const Expect& x : expects) {
+    SCOPED_TRACE(x.pass);
+    std::lock_guard<std::mutex> lock(x.sub->mu);
+    ASSERT_TRUE(x.sub->last_incremental);
+    ASSERT_NE(x.sub->last_profile, nullptr);
+    std::vector<const obs::TraceSpan*> passes;
+    CollectSpans(*x.sub->last_profile, x.pass, &passes);
+    ASSERT_EQ(passes.size(), 1u);
+    EXPECT_EQ(NoteOf(*passes[0], "event_floor"), std::to_string(floor));
+    EXPECT_EQ(NoteOf(*passes[0], "restricts"), x.restricts);
+    EXPECT_EQ(passes[0]->counter("new_events", -1), new_events);
+  }
+  // The floored pattern reads the new events through the event-id range.
+  std::lock_guard<std::mutex> lock(tbql.mu);
+  std::vector<const obs::TraceSpan*> plans;
+  CollectSpans(*tbql.last_profile, "plan", &plans);
+  ASSERT_FALSE(plans.empty());
+  EXPECT_NE(NoteOf(*plans[0], "access").find("e=range(id)"),
+            std::string::npos)
+      << NoteOf(*plans[0], "access");
+}
+
+/// Admission prices a standing refresh that will run delta passes at
+/// min_cost_weight, without estimating the whole query: the baseline
+/// refresh (and a TBQL refresh before the all-matched latch) carries its
+/// plan-time estimate. The running-cost gauge, read from the sink while
+/// the refresh holds its admission slot, shows the weight.
+TEST(StandingHuntTest, DeltaRefreshIsPricedAtTheFloor) {
+  for (QueryDialect dialect : {QueryDialect::kTbql, QueryDialect::kCypher}) {
+    SCOPED_TRACE(dialect == QueryDialect::kTbql ? "tbql" : "cypher");
+    storage::AuditStore store;
+    ASSERT_TRUE(store.Load(audit::ParsedLog{}).ok());
+    service::HuntServiceOptions options;
+    options.min_cost_weight = 0.001;
+    HuntService service(&store, options);
+    audit::AuditLogParser parser;
+    audit::ParsedLog accum;
+    auto ingest = [&](const char* exe, int pid, long long at) {
+      std::vector<audit::AttackStep> steps = {
+          FileReadStep(exe, pid, "/data/a", 3, 0),
+          FileReadStep(exe, pid, "/data/b", 3, 100)};
+      ASSERT_TRUE(ApplyBatch(&store, &service, &parser, &accum,
+                             audit::CompileAttackScript(steps, at, 3))
+                      .ok());
+    };
+    ingest("/bin/cat", 11, 1'000'000);
+
+    HuntRequest req;
+    req.dialect = dialect;
+    req.text = dialect == QueryDialect::kTbql
+                   ? "proc p read file f return p, f"
+                   : "MATCH (p:proc)-[:read]->(f:file) "
+                     "RETURN p.exename, f.name";
+    std::mutex mu;
+    std::vector<std::pair<bool, double>> refreshes;  // incremental, weight
+    StandingSink sink;
+    sink.on_update = [&](const StandingUpdate& u) {
+      double weight = service.metrics().running_cost;
+      std::lock_guard<std::mutex> lock(mu);
+      refreshes.emplace_back(u.incremental, weight);
+    };
+    StandingOptions incremental;
+    incremental.max_dirty_fraction = 1.0;  // the store is tiny
+    service::StandingHandle handle =
+        service.SubmitStanding(req, sink, incremental);
+    ASSERT_TRUE(handle.WaitEpoch(service.epoch(), 30'000'000));
+    ingest("/bin/less", 12, 50'000'000);
+    ASSERT_TRUE(handle.WaitEpoch(service.epoch(), 30'000'000));
+    handle.Cancel();
+
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(refreshes.size(), 2u);
+    EXPECT_FALSE(refreshes[0].first);
+    EXPECT_GT(refreshes[0].second, options.min_cost_weight);
+    EXPECT_TRUE(refreshes[1].first);
+    EXPECT_DOUBLE_EQ(refreshes[1].second, options.min_cost_weight);
+  }
 }
 
 TEST(StandingHuntTest, AlertsFireOnlyOnNewMatchingActivity) {
